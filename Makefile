@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race chaos fuzz cover bench bench-smoke experiments full clean
+.PHONY: all build check test vet race chaos fuzz cover bench bench-smoke perfbench-test experiments full clean
 
 all: build vet test
 
-# Everything CI needs: compile, vet, full test suite, race pass, the
-# chaos soak, and a single-iteration pass over the ingestion benchmarks
-# (catches crashes and gross regressions without benchmarking for real).
-check: build vet test race chaos bench-smoke
+# Everything CI needs: compile, vet, full test suite, the end-to-end
+# benchmark's own tests, race pass, the chaos soak, and a
+# single-iteration pass over the ingestion benchmarks (catches crashes
+# and gross regressions without benchmarking for real).
+check: build vet test perfbench-test race chaos bench-smoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +20,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark (perfbench/, its own module, so `go test
+# ./...` above does not reach it): its determinism and output-gate
+# tests.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/mpi ./internal/collector ./internal/core ./internal/interpose ./internal/detect ./internal/cluster ./internal/obs ./internal/faults ./internal/wal

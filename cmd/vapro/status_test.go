@@ -64,6 +64,7 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"latency p50",
 		"cluster",
 		"steady    store appends",
+		"rebuilds 1 (cold 1 · mixed 0 · compaction 0 · delta 0)",
 		"view cursor advances",
 		"ols rank-1",
 		"client    interceptions",

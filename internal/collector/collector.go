@@ -148,16 +148,21 @@ func (p *Pool) SeqState() *SeqTracker { return p.seq }
 // Consume implements interpose.Sink: route the batch to the client's
 // shard.
 func (p *Pool) Consume(rank int, frags []trace.Fragment) {
-	s := p.servers[rank%len(p.servers)]
-	s.consume(rank, frags)
+	p.serverFor(rank).consume(rank, frags)
 }
 
 // ConsumeSized routes a batch whose encoded wire size was already
 // measured (the wire server passes the payload length it just decoded),
 // so the batch is not re-encoded merely for the byte accounting.
 func (p *Pool) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
-	s := p.servers[rank%len(p.servers)]
-	s.consumeSized(rank, frags, bytes)
+	p.serverFor(rank).consumeSized(rank, frags, bytes)
+}
+
+// serverFor picks the rank's server. The modulo is unsigned, as in
+// Server.stage: a negative rank must route somewhere, not index out of
+// range.
+func (p *Pool) serverFor(rank int) *Server {
+	return p.servers[uint(rank)%uint(len(p.servers))]
 }
 
 // Close stops background mergers and drains any staged batches. Pools

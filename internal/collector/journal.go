@@ -58,6 +58,15 @@ func ReplayJournal(jour *wal.Log, sink interface {
 			// torn tail (recovery already truncated those).
 			return fmt.Errorf("collector: journaled frame undecodable: %w", derr)
 		}
+		if checkRanks(meta.Rank, frags) != nil {
+			// Journals written before the wire server checked ranks can
+			// hold a hostile frame; skip it rather than crash the
+			// restart.
+			if met != nil {
+				met.WireFramesRejected.Inc()
+			}
+			return nil
+		}
 		if meta.HasSeq && seq != nil {
 			minStart, maxEnd := fragSpan(frags)
 			deliver, gap := seq.Observe(meta.Rank, meta.Seq, minStart, maxEnd)

@@ -604,3 +604,111 @@ func TestChaosSoakJournalCrashReplay(t *testing.T) {
 	pool1.Close()
 	pool2.Close()
 }
+
+// TestWireRejectsOutOfRangeRankFrame sends a frame whose batch rank is
+// negative to a two-server pool with a journal attached, then one whose
+// batch rank is fine but a fragment rank exceeds int32. Both must be
+// refused before the tracker and the journal see them (killing their
+// connections and counting as rejected), later frames must flow
+// normally, and the journal must replay into a fresh two-server pool.
+func TestWireRejectsOutOfRangeRankFrame(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Servers = 2
+	dir := t.TempDir()
+	jlog := openTestWAL(t, dir, wal.Options{})
+	pool := NewPool(4, opt)
+	pool.AttachJournal(jlog)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeWire(ln, pool)
+
+	hostile := [][]byte{
+		seqPayload(-3, 0, []trace.Fragment{frag(-3, 0, 500)}),
+		seqPayload(1, 0, []trace.Fragment{frag(1, 0, 500), frag(math.MaxInt32+1, 600, 500)}),
+	}
+	for i, payload := range hostile {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRaw(t, conn, payload)
+		if !waitUntil(10*time.Second, func() bool { return srv.FramesRejected() == uint64(i+1) }) {
+			t.Fatalf("hostile frame %d: rejected %d, want %d", i, srv.FramesRejected(), i+1)
+		}
+		conn.Close()
+	}
+	if srv.Err() == nil {
+		t.Fatal("out-of-range rank left no server error")
+	}
+	if srv.Panics() != 0 {
+		t.Fatalf("%d connection panics, want 0", srv.Panics())
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(0); seq < 3; seq++ {
+		writeRaw(t, conn, seqPayload(1, seq, []trace.Fragment{frag(1, int64(seq)*1000, 500)}))
+	}
+	if !waitUntil(10*time.Second, func() bool { return srv.Batches() == 3 }) {
+		t.Fatalf("delivered %d, want 3", srv.Batches())
+	}
+	conn.Close()
+	srv.Close()
+	jlog.Close()
+	pool.Close()
+
+	jlog2 := openTestWAL(t, dir, wal.Options{})
+	defer jlog2.Close()
+	pool2 := NewPool(4, opt)
+	defer pool2.Close()
+	n, err := ReplayJournal(jlog2, pool2)
+	if err != nil || n != 3 {
+		t.Fatalf("replay: %d frames, err %v; want 3 frames", n, err)
+	}
+	if got := pool2.Metrics().WireFramesRejected.Load(); got != 0 {
+		t.Fatalf("replay rejected %d frames; the journal should hold none", got)
+	}
+	if g := pool2.SeqState().GapFrames(); g != 0 {
+		t.Fatalf("replay charged %d gap frames, want 0", g)
+	}
+}
+
+// TestReplaySkipsOutOfRangeRankFrame replays a journal recorded before
+// the wire server checked ranks — a negative-rank frame among valid
+// ones — into a two-server pool: the restart must not panic, and the
+// hostile frame is skipped and counted as rejected.
+func TestReplaySkipsOutOfRangeRankFrame(t *testing.T) {
+	dir := t.TempDir()
+	jlog := openTestWAL(t, dir, wal.Options{})
+	for _, payload := range [][]byte{
+		seqPayload(0, 0, []trace.Fragment{frag(0, 0, 500)}),
+		seqPayload(-3, 0, []trace.Fragment{frag(-3, 0, 500)}),
+		seqPayload(0, 1, []trace.Fragment{frag(0, 1000, 500)}),
+	} {
+		if err := jlog.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jlog.Close()
+
+	opt := DefaultOptions()
+	opt.Servers = 2
+	jlog2 := openTestWAL(t, dir, wal.Options{})
+	defer jlog2.Close()
+	pool := NewPool(4, opt)
+	defer pool.Close()
+	n, err := ReplayJournal(jlog2, pool)
+	if err != nil || n != 2 {
+		t.Fatalf("replay: %d frames, err %v; want 2 frames", n, err)
+	}
+	if got := pool.Metrics().WireFramesRejected.Load(); got != 1 {
+		t.Fatalf("replay rejected %d frames, want 1", got)
+	}
+	if got := pool.FragmentCount(); got != 2 {
+		t.Fatalf("pool holds %d fragments, want 2", got)
+	}
+}

@@ -33,7 +33,7 @@ type Metrics struct {
 	WireConns          *obs.Counter
 	WireFrames         *obs.Counter
 	WireBytes          *obs.Counter
-	WireFramesRejected *obs.Counter // any frame that killed its connection
+	WireFramesRejected *obs.Counter // any frame that killed its connection (or was skipped on replay)
 	WireDecodeErrors   *obs.Counter // subset: payloads DecodeBatch refused
 	WirePanics         *obs.Counter // subset: decoder panics caught by recover
 	WireSeqGaps        *obs.Counter // batches inferred lost from sequence gaps
@@ -115,7 +115,7 @@ func NewMetrics() *Metrics {
 		WireBytes: reg.Counter("vapro_wire_bytes_total", "wire",
 			"payload bytes of accepted frames"),
 		WireFramesRejected: reg.Counter("vapro_wire_frames_rejected_total", "wire",
-			"frames that terminated their connection (oversized, torn, undecodable)"),
+			"frames refused (oversized, torn, undecodable, rank out of range): live ones terminate their connection"),
 		WireDecodeErrors: reg.Counter("vapro_wire_decode_errors_total", "wire",
 			"payloads DecodeBatch refused"),
 		WirePanics: reg.Counter("vapro_wire_panics_total", "wire",

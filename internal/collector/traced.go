@@ -33,6 +33,5 @@ type tracedSink interface {
 // ConsumeTraced routes a sampled traced batch to the rank's shard,
 // carrying its provenance context through staging and drain.
 func (p *Pool) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
-	s := p.servers[rank%len(p.servers)]
-	s.stage(rank, frags, bytes, tc, true)
+	p.serverFor(rank).stage(rank, frags, bytes, tc, true)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -355,7 +356,11 @@ func (s *WireServer) serveConn(conn net.Conn) {
 			s.setErr(err)
 			return
 		}
-		s.deliverFrame(meta, frags, payload)
+		if err := s.deliverFrame(meta, frags, payload); err != nil {
+			s.met.WireFramesRejected.Inc()
+			s.setErr(err)
+			return
+		}
 	}
 }
 
@@ -366,7 +371,14 @@ func (s *WireServer) serveConn(conn net.Conn) {
 // delivery order, or replay would rebuild a different state than the
 // live run held. Without a journal only the tracker's own lock is
 // involved, as before.
-func (s *WireServer) deliverFrame(meta trace.BatchMeta, frags []trace.Fragment, payload []byte) {
+//
+// A frame whose ranks are out of range is refused before the tracker
+// or the journal sees it: journaled, it would poison every later
+// replay.
+func (s *WireServer) deliverFrame(meta trace.BatchMeta, frags []trace.Fragment, payload []byte) error {
+	if err := checkRanks(meta.Rank, frags); err != nil {
+		return err
+	}
 	if s.jour != nil {
 		s.jmu.Lock()
 		defer s.jmu.Unlock()
@@ -384,7 +396,7 @@ func (s *WireServer) deliverFrame(meta trace.BatchMeta, frags []trace.Fragment, 
 		}
 		if !deliver {
 			s.met.WireDups.Inc()
-			return
+			return nil
 		}
 	}
 	if s.jour != nil {
@@ -414,6 +426,22 @@ func (s *WireServer) deliverFrame(meta trace.BatchMeta, frags []trace.Fragment, 
 	s.mu.Lock()
 	s.batches++
 	s.mu.Unlock()
+	return nil
+}
+
+// checkRanks refuses a frame whose batch rank or any fragment rank lies
+// outside [0, math.MaxInt32]: the range rank routing and the detect
+// sample store's compact records are built for.
+func checkRanks(rank int, frags []trace.Fragment) error {
+	if rank < 0 || rank > math.MaxInt32 {
+		return fmt.Errorf("collector: frame rank %d out of range", rank)
+	}
+	for i := range frags {
+		if r := frags[i].Rank; r < 0 || r > math.MaxInt32 {
+			return fmt.Errorf("collector: fragment rank %d out of range in rank %d frame", r, rank)
+		}
+	}
+	return nil
 }
 
 // readPayload appends exactly size bytes from br onto buf in bounded

@@ -49,14 +49,9 @@ type Options struct {
 	// generation change re-clusters and re-normalizes from scratch.
 	// Results are bit-identical either way; this exists to benchmark
 	// the incremental plane against its baseline and as an escape
-	// hatch. It is the master switch — it also disables the chunked
-	// sample store and incremental region growing below.
+	// hatch. It is the master switch — it also disables incremental
+	// region growing below.
 	DisableIncremental bool
-	// DisableSampleStore forces the flat prep representation: sample
-	// populations are kept as contiguous per-class arrays rebuilt (or
-	// merge-patched) per advance instead of the chunked append-only
-	// store. Results are bit-identical either way.
-	DisableSampleStore bool
 	// DisableIncrementalRegions forces region growing to run from
 	// scratch every window instead of carrying unchanged regions over
 	// from the previous window's overlap. Results are bit-identical
@@ -153,7 +148,8 @@ type ClusterRef struct {
 // stream — and everything folded over it: heat-map cells, region
 // growing, carried-region equality — a pure function of the sample
 // multiset, which is exactly the order-insensitivity the cluster
-// layer's lazy members contract provides.
+// layer's lazy members contract provides — and what lets the sample
+// store emit in storage order.
 func sampleLess(a, b *Sample) bool {
 	if a.Start != b.Start {
 		return a.Start < b.Start
@@ -370,12 +366,12 @@ func (a *Analyzer) RunWindow(g *stg.Graph, ranks int, opt Options, start, end in
 // elemOut is the per-element partial result of the cluster+normalize
 // stage; partials merge deterministically in element order, which makes
 // the parallel pass bit-identical to the sequential one. Samples are
-// referenced, not materialized: either the element's whole canonical
-// list (all=true) or a selection of indices into it, copied exactly
-// once into the right-sized merged slice.
+// referenced, not materialized: either every live sample of the
+// element's stores (whole) or a selection of store positions per
+// class, materialized exactly once into the right-sized merged slice.
 type elemOut struct {
 	prep          *prepElem
-	whole         [numClasses]bool
+	whole         bool
 	sel           [numClasses][]int32
 	total, fixed  [numClasses]int64
 	fixedClusters int
@@ -385,17 +381,11 @@ type elemOut struct {
 // sampleCount returns how many samples the element contributes to class
 // c under its selection.
 func (o *elemOut) sampleCount(c int) int {
-	if o.prep == nil {
-		return 0
-	}
-	if o.whole[c] {
-		if o.prep.storeMode() {
-			if Class(c) == o.prep.class {
-				return o.prep.liveCount
-			}
-			return 0
+	if o.whole {
+		if st := o.prep.stores[c]; st != nil {
+			return st.live()
 		}
-		return len(o.prep.samples[c])
+		return 0
 	}
 	return len(o.sel[c])
 }
@@ -461,7 +451,8 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 
 	// Deterministic merge: element order (edges then vertices, both
 	// key-sorted) fixes the sample concatenation order regardless of
-	// which worker finished first. Counts are summed first so each
+	// which worker finished first (stage 2 re-sorts by the total key
+	// anyway, so only the multiset matters). Counts are summed first so each
 	// class's merged slice is allocated once at its exact size — the
 	// per-window copy cost is one pass over the selected samples, with
 	// no append regrowth.
@@ -484,37 +475,9 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 	}
 	for i := range outs {
 		o := &outs[i]
-		if o.prep == nil {
-			continue
-		}
 		for c := 0; c < numClasses; c++ {
-			if o.prep.storeMode() {
-				// Store-backed elements materialize lazily: Perf,
-				// Covered and the cluster index are derived from
-				// current cluster state as samples are copied out.
-				if Class(c) != o.prep.class {
-					continue
-				}
-				if o.whole[c] {
-					if o.prep.liveCount > 0 {
-						res.Samples[Class(c)] = o.prep.appendAllStore(res.Samples[Class(c)])
-					}
-				} else if len(o.sel[c]) > 0 {
-					res.Samples[Class(c)] = o.prep.appendStore(res.Samples[Class(c)], o.sel[c])
-				}
-				continue
-			}
-			if o.whole[c] {
-				if len(o.prep.samples[c]) > 0 {
-					res.Samples[Class(c)] = append(res.Samples[Class(c)], o.prep.samples[c]...)
-				}
-			} else if len(o.sel[c]) > 0 {
-				buf := res.Samples[Class(c)]
-				src := o.prep.samples[c]
-				for _, idx := range o.sel[c] {
-					buf = append(buf, src[idx])
-				}
-				res.Samples[Class(c)] = buf
+			if o.sampleCount(c) > 0 {
+				res.Samples[Class(c)] = o.prep.appendSamples(res.Samples[Class(c)], Class(c), o.sel[c])
 			}
 		}
 	}
@@ -588,10 +551,7 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 // direct form remains the semantic reference: the equivalence tests pin
 // the sliced path bit-identical to it.
 func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, start, end int64) (out elemDirect) {
-	minFrag := opt.Cluster.MinFragments
-	if minFrag <= 0 {
-		minFrag = 5
-	}
+	minFrag := minFragments(opt)
 	for ci := range cl.Clusters {
 		c := &cl.Clusters[ci]
 		if c.Fixed {

@@ -47,8 +47,8 @@ func equalHeatMaps(a, b *HeatMap) bool {
 }
 
 // TestAnalyzerIncrementalEquivalenceFuzz pins the whole incremental
-// analysis plane — delta clustering plus the monotone normalization and
-// span-index advances in prep_inc.go — against the batch path at the
+// analysis plane — delta clustering plus the sample-store advances in
+// store.go — against the batch path at the
 // analyzer level: a persistent Analyzer re-run after every appended
 // burst must return results bit-identical (reflect.DeepEqual, floats
 // included) to a cold Analyzer forced onto the batch path over the same

@@ -32,19 +32,22 @@ type Metrics struct {
 	// PrepIncremental counts element preps advanced by the delta path
 	// (append-only generation steps patched in place).
 	PrepIncremental *obs.Counter
-	// PrepRebuilds counts element preps rebuilt from scratch (cold
-	// elements, epoch bumps, option changes, fallback re-clusters).
-	PrepRebuilds *obs.Counter
+	// PrepRebuilds counts element preps rebuilt from scratch; the four
+	// counters below split it by reason (see rebuildReason): cold
+	// elements, mixed-kind vertices, store compactions, and deltas the
+	// prep could not apply (Full re-clusters, epoch bumps, option
+	// changes, failed validation).
+	PrepRebuilds          *obs.Counter
+	PrepRebuildCold       *obs.Counter
+	PrepRebuildMixed      *obs.Counter
+	PrepRebuildCompaction *obs.Counter
+	PrepRebuildDelta      *obs.Counter
 	// DirtySpanPct is the distribution of the dirty-span ratio (percent
 	// of the sorted order each incremental advance recomputed).
 	DirtySpanPct *obs.Histogram
 	// StoreAppends counts samples appended to chunked sample stores
 	// (both initial builds and incremental advances).
 	StoreAppends *obs.Counter
-	// StoreCompactions counts store rebuilds forced by the dead-sample
-	// threshold (an advance retired too much; the element re-emitted
-	// into a fresh store).
-	StoreCompactions *obs.Counter
 	// RegionCellsCarried counts heat-map cells whose region membership
 	// was carried over from the previous window unchanged.
 	RegionCellsCarried *obs.Counter
@@ -66,17 +69,38 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"element preps advanced incrementally (append-only delta applied in place)"),
 		PrepRebuilds: reg.Counter("vapro_detect_prep_rebuilds_total", "detect",
 			"element preps rebuilt from scratch"),
+		PrepRebuildCold: reg.Counter("vapro_detect_prep_rebuilds_cold_total", "detect",
+			"prep rebuilds of elements with no memoized prep"),
+		PrepRebuildMixed: reg.Counter("vapro_detect_prep_rebuilds_mixed_total", "detect",
+			"prep rebuilds of mixed-kind vertices (which never advance)"),
+		PrepRebuildCompaction: reg.Counter("vapro_detect_prep_rebuilds_compaction_total", "detect",
+			"prep rebuilds forced by the sample store's dead-sample threshold"),
+		PrepRebuildDelta: reg.Counter("vapro_detect_prep_rebuilds_delta_total", "detect",
+			"prep rebuilds after a Full, stale-generation or invalid clustering delta"),
 		DirtySpanPct: reg.Histogram("vapro_detect_dirty_span_pct", "detect",
 			"dirty-span ratio of incremental advances (percent of sorted order recomputed)",
 			[]int64{1, 2, 5, 10, 25, 50, 100}),
 		StoreAppends: reg.Counter("vapro_detect_store_appends_total", "detect",
 			"samples appended to chunked sample stores"),
-		StoreCompactions: reg.Counter("vapro_detect_store_compactions_total", "detect",
-			"sample-store rebuilds forced by the dead-sample threshold"),
 		RegionCellsCarried: reg.Counter("vapro_detect_region_cells_carried_total", "detect",
 			"heat-map cells carried over from the previous window's regions"),
 		RegionCellsRegrown: reg.Counter("vapro_detect_region_cells_regrown_total", "detect",
 			"heat-map cells revisited by region growing"),
+	}
+}
+
+// rebuilt books one prep rebuild under its reason.
+func (m *Metrics) rebuilt(r rebuildReason) {
+	m.PrepRebuilds.Inc()
+	switch r {
+	case rebuildCold:
+		m.PrepRebuildCold.Inc()
+	case rebuildMixed:
+		m.PrepRebuildMixed.Inc()
+	case rebuildCompaction:
+		m.PrepRebuildCompaction.Inc()
+	default:
+		m.PrepRebuildDelta.Inc()
 	}
 }
 

@@ -2,8 +2,6 @@ package detect
 
 import (
 	"math"
-	"slices"
-	"sort"
 	"time"
 
 	"vapro/internal/cluster"
@@ -17,80 +15,44 @@ import (
 // population (clustering and the per-cluster fastest member never look
 // at the analysis window — the window just filters which samples feed
 // the heat map), so they are computed once per element generation and
-// every overlapped window slices them by binary search instead of
-// re-walking every cluster member. Sample emission order is preserved
-// exactly (cluster-major, member-index order), which keeps windowed
-// results bit-identical to the direct computation.
+// every overlapped window selects from them by span index instead of
+// re-walking every cluster member.
 //
-// When the element advances by an append-only generation step (the
-// clustering cache hands back a structured Delta instead of Full),
-// advance() patches this state instead of rebuilding it: untouched
-// cluster spans are block-copied, grown clusters are merge-copied with
-// each cluster's fastest member tracked monotonically (the min can only
-// improve, so kept samples renormalize only when it actually does), and
-// the span indexes are extended by a remap+merge instead of a re-sort.
+// The samples live in per-class chunked stores (see store.go). When the
+// element advances by an append-only generation step (the clustering
+// cache hands back a structured Delta instead of Full), advance()
+// appends the batch's samples instead of rebuilding.
 type prepElem struct {
-	gen    stg.Gen
-	nfrags int
-	copt   cluster.Options
-	ref    ClusterRef
+	gen     stg.Gen
+	nfrags  int
+	copt    cluster.Options
+	ref     ClusterRef
+	minFrag int
 
 	fixedClusters int
 	smallClusters int
 
-	// samples holds the full-population sample lists per class, in
-	// canonical emission order. Shared read-only with full-range runs.
-	samples [numClasses][]Sample
-	// sampleIdx slices samples by time window.
-	sampleIdx [numClasses]spanIndex
+	// stores holds one sample store per class present in the element
+	// (nil for absent classes).
+	stores [numClasses]*sampleStore
 	// fixedAll is the covered (fixed-workload) time per class over the
-	// whole population — the full-range fast path for elemOut.fixed.
+	// whole population — the full-range fast path for elemOut.fixed;
+	// totalAll is the matching all-fragment time.
 	fixedAll [numClasses]int64
-	// fragIdx indexes every fragment's span per class for the coverage
-	// denominator (elemOut.total sums all fragments, not just cluster
-	// members).
-	fragIdx  [numClasses]spanIndex
 	totalAll [numClasses]int64
 
-	// Incremental-advance state, maintained only for single-class
-	// elements: computation edges (1-D norms) and all-comm / all-IO
-	// vertices (multi-D vectors) alike — both cluster planes produce
-	// structured deltas now. Mixed-class vertices still rebuild: their
-	// samples interleave several classes, so a cluster delta does not
-	// translate into per-class span patches.
-	singleClass bool
-	class       Class
-	// spanOff[ci] is the offset in samples[class] where cluster ci's
-	// emission begins; spanOff[len(clusters)] closes the last span.
-	// Small and skipped clusters own empty spans.
-	spanOff []int32
-	// cstate[ci] is cluster ci's normalization state.
-	cstate []clustState
+	// class is the element's class; mixed marks a vertex whose
+	// fragments span several classes (it rebuilds on every generation).
+	class Class
+	mixed bool
 
-	// Chunked-store representation (see store.go), used instead of
-	// samples/sampleIdx/fragIdx/spanOff for 1-D computation elements
-	// when the store path is enabled. store == nil means flat.
-	store *sampleStore
-	// ids[ci] is cluster ci's stable id; slotOf[id] maps an id back to
-	// its current cluster index (-1 once retired). minFrag caches the
-	// normalized coverage threshold.
-	ids     []int32
-	slotOf  []int32
-	nextID  int32
-	minFrag int
-	// liveCount is store.n minus retired samples — the store-mode
-	// whole-population sample count.
-	liveCount int
-	// sampleSeg/fragSeg are the segmented span indexes over store
-	// positions / fragment indexes.
-	sampleSeg segIndex
-	fragSeg   segIndex
-	// wholeOrder caches the canonical order of all live positions,
-	// invalidated per advance, rebuilt lazily on the merge stage.
-	wholeOrder []int32
-	// storeCompactPending is set when an advance refused because dead
-	// samples would exceed the compaction threshold; prepFor rebuilds.
-	storeCompactPending bool
+	// cstate[ci] is cluster ci's normalization state; ids[ci] is its
+	// stable id and slotOf[id] maps an id back to its current cluster
+	// index (-1 once retired).
+	cstate []clustState
+	ids    []int32
+	slotOf []int32
+	nextID int32
 }
 
 // clustState tracks what one cluster's emission depends on, so an
@@ -100,114 +62,54 @@ type prepElem struct {
 // at most once), and the covered time contributed to fixedAll.
 type clustState struct {
 	// emitted: the cluster is Fixed with a valid best and its members
-	// are present in samples. perRank may be non-nil while emitted is
+	// are present in the store. perRank may be non-nil while emitted is
 	// false (a fixed cluster whose members all have Elapsed<=0).
 	emitted bool
 	best    int64
 	fixedNS int64
 	perRank map[int]int
-
-	// Store-mode extras (zero/nil on the flat path): perRankNS sums
-	// elapsed per rank so a coverage crossing can flip a rank's whole
-	// prior contribution without revisiting stored samples; nStored
-	// counts the cluster's samples living in the store (for delta
-	// validation and retirement accounting).
+	// perRankNS sums elapsed per rank so a coverage crossing can flip a
+	// rank's whole prior contribution without revisiting stored
+	// samples; nStored counts the cluster's samples living in the store
+	// (for delta validation and retirement accounting).
 	perRankNS map[int]int64
 	nStored   int32
 }
 
-// spanIndex answers "which spans overlap [start, end)" over a fixed set
-// of (start, elapsed) spans in O(log n + candidates): starts are sorted,
-// and a span overlaps only if its start lies in (start-maxElapsed, end).
-type spanIndex struct {
-	order      []int32 // original positions, sorted by start
-	starts     []int64 // starts[i] = start of span order[i] (sorted)
-	elapsed    []int64 // elapsed[i] = elapsed of span order[i]
-	covered    []bool  // optional: covered flag of span order[i]
-	maxElapsed int64
+// rebuildReason says why prepFor rebuilt an element's prep instead of
+// advancing it (advanced: it did not).
+type rebuildReason uint8
+
+const (
+	advanced rebuildReason = iota
+	// rebuildCold: no prep was memoized for the element yet.
+	rebuildCold
+	// rebuildMixed: a mixed-kind vertex, which never advances.
+	rebuildMixed
+	// rebuildCompaction: the advance would have pushed retired samples
+	// past a quarter of the store.
+	rebuildCompaction
+	// rebuildDelta: the clustering delta was Full, advanced from a
+	// stale generation, or failed validation.
+	rebuildDelta
+)
+
+func minFragments(opt Options) int {
+	if opt.Cluster.MinFragments <= 0 {
+		return 5
+	}
+	return opt.Cluster.MinFragments
 }
 
-func buildSpanIndex(starts, elapsed []int64, covered []bool) spanIndex {
-	n := len(starts)
-	ix := spanIndex{
-		order:   make([]int32, n),
-		starts:  make([]int64, n),
-		elapsed: make([]int64, n),
-	}
-	for i := range ix.order {
-		ix.order[i] = int32(i)
-	}
-	sort.Slice(ix.order, func(a, b int) bool {
-		sa, sb := starts[ix.order[a]], starts[ix.order[b]]
-		if sa != sb {
-			return sa < sb
-		}
-		return ix.order[a] < ix.order[b]
-	})
-	for i, o := range ix.order {
-		ix.starts[i] = starts[o]
-		ix.elapsed[i] = elapsed[o]
-		if e := elapsed[o]; e > ix.maxElapsed {
-			ix.maxElapsed = e
+// stored is the number of samples ever appended to p's stores.
+func (p *prepElem) stored() uint64 {
+	var n uint64
+	for _, st := range p.stores {
+		if st != nil {
+			n += uint64(st.n)
 		}
 	}
-	if covered != nil {
-		ix.covered = make([]bool, n)
-		for i, o := range ix.order {
-			ix.covered[i] = covered[o]
-		}
-	}
-	return ix
-}
-
-// candidates returns the [lo, hi) range of sorted positions whose spans
-// can overlap [start, end); each candidate still needs the exact
-// start+elapsed > start check.
-func (ix *spanIndex) candidates(start, end int64) (lo, hi int) {
-	// A span [s, s+e) overlaps iff s < end && s+e > start, which needs
-	// s > start-maxElapsed (saturating: start near MinInt64 would wrap).
-	thresh := start - ix.maxElapsed
-	if ix.maxElapsed > 0 && thresh > start {
-		thresh = math.MinInt64
-	}
-	lo = sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] > thresh })
-	hi = sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] >= end })
-	return lo, hi
-}
-
-// sumOverlapping totals elapsed over spans overlapping [start, end).
-func (ix *spanIndex) sumOverlapping(start, end int64) int64 {
-	lo, hi := ix.candidates(start, end)
-	var sum int64
-	for i := lo; i < hi; i++ {
-		if ix.starts[i]+ix.elapsed[i] > start {
-			sum += ix.elapsed[i]
-		}
-	}
-	return sum
-}
-
-// selectOverlapping returns the original positions of spans overlapping
-// [start, end) in original (canonical) order, plus the covered elapsed
-// sum over the selection. The positions are distinct, so sorting them
-// ascending reproduces the canonical emission order exactly regardless
-// of sort algorithm.
-func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int64) {
-	lo, hi := ix.candidates(start, end)
-	if lo >= hi {
-		return nil, 0
-	}
-	sel = make([]int32, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if ix.starts[i]+ix.elapsed[i] > start {
-			sel = append(sel, ix.order[i])
-			if ix.covered != nil && ix.covered[i] {
-				fixed += ix.elapsed[i]
-			}
-		}
-	}
-	slices.Sort(sel)
-	return sel, fixed
+	return n
 }
 
 // prepFor returns the memoized window-independent analysis of one
@@ -215,7 +117,8 @@ func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int
 // patch it through advance(), and everything else rebuilds. The
 // clustering cache is consulted unconditionally so its hit/miss
 // accounting keeps meaning "analysis passes that reused a clustering",
-// warm prep or not.
+// warm prep or not. Under DisableIncremental the clustering delta is
+// always Full, so every new generation rebuilds.
 func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment, opt Options, ref ClusterRef) *prepElem {
 	met := a.met
 	var t0 time.Time
@@ -239,43 +142,30 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 	a.mu.Lock()
 	p := a.preps[key]
 	a.mu.Unlock()
-	// A store-backed prep is never served or advanced once the store
-	// path is disabled (the escape hatches must produce flat-path
-	// behavior); the reverse direction keeps a warm flat prep — it is
-	// equally correct and re-enables the store on the next rebuild.
-	storeOff := opt.DisableIncremental || opt.DisableSampleStore
-	if p != nil && p.gen == gen && p.nfrags == len(frags) && p.copt == opt.Cluster &&
-		!(storeOff && p.storeMode()) {
+	if p != nil && p.gen == gen && p.nfrags == len(frags) && p.copt == opt.Cluster {
 		return p
 	}
 	if met != nil {
 		t0 = time.Now()
 	}
-	var storeN0 int32
-	if p != nil && p.storeMode() {
-		storeN0 = p.store.n
-	}
-	if p != nil && !opt.DisableIncremental && p.advance(frags, cl, d, opt, gen) {
-		if met != nil {
-			a.clock.normNS.Add(since(t0))
-			met.PrepIncremental.Inc()
-			met.DirtySpanPct.Observe(int64(d.Ratio*100 + 0.5))
-			if p.storeMode() {
-				met.StoreAppends.Add(uint64(p.store.n - storeN0))
+	reason := rebuildCold
+	if p != nil {
+		n0 := p.stored()
+		if reason = p.advance(frags, cl, d, opt, gen); reason == advanced {
+			if met != nil {
+				a.clock.normNS.Add(since(t0))
+				met.PrepIncremental.Inc()
+				met.DirtySpanPct.Observe(int64(d.Ratio*100 + 0.5))
+				met.StoreAppends.Add(p.stored() - n0)
 			}
+			return p
 		}
-		return p
-	}
-	if met != nil && p != nil && p.storeCompactPending {
-		met.StoreCompactions.Inc()
 	}
 	p = buildPrep(frags, cl, ref, opt, gen)
 	if met != nil {
 		a.clock.normNS.Add(since(t0))
-		met.PrepRebuilds.Inc()
-		if p.storeMode() {
-			met.StoreAppends.Add(uint64(p.store.n))
-		}
+		met.rebuilt(reason)
+		met.StoreAppends.Add(p.stored())
 	}
 	a.mu.Lock()
 	a.preps[key] = p
@@ -283,151 +173,28 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 	return p
 }
 
-// buildPrep runs the full-population normalization once (the same walk
-// normalizeElement does with an unbounded window) and indexes the
-// outputs for window slicing.
-func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
-	if storeEligible(frags, opt) {
-		return buildPrepStore(frags, cl, ref, opt, gen)
-	}
-	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref}
-	minFrag := opt.Cluster.MinFragments
-	if minFrag <= 0 {
-		minFrag = 5
-	}
-	p.singleClass = len(frags) > 0
-	if p.singleClass {
-		p.class = ClassOf(frags[0].Kind)
-		for i := range frags {
-			if ClassOf(frags[i].Kind) != p.class {
-				p.singleClass = false
-				break
-			}
-		}
-	}
-	if p.singleClass {
-		p.spanOff = make([]int32, 0, len(cl.Clusters)+1)
-		p.cstate = make([]clustState, 0, len(cl.Clusters))
-	}
-	for ci := range cl.Clusters {
-		c := &cl.Clusters[ci]
-		if p.singleClass {
-			p.spanOff = append(p.spanOff, int32(len(p.samples[p.class])))
-		}
-		if c.Fixed {
-			p.fixedClusters++
-		} else {
-			p.smallClusters++
-			if p.singleClass {
-				p.cstate = append(p.cstate, clustState{})
-			}
-			continue
-		}
-		best := int64(math.MaxInt64)
-		perRank := make(map[int]int)
-		for _, m := range c.Members {
-			perRank[frags[m].Rank]++
-			if e := frags[m].Elapsed; e > 0 && e < best {
-				best = e
-			}
-		}
-		if best == math.MaxInt64 {
-			if p.singleClass {
-				p.cstate = append(p.cstate, clustState{perRank: perRank})
-			}
-			continue
-		}
-		st := clustState{emitted: true, best: best, perRank: perRank}
-		for _, m := range c.Members {
-			f := &frags[m]
-			class := ClassOf(f.Kind)
-			covered := perRank[f.Rank] >= minFrag
-			if covered {
-				p.fixedAll[class] += f.Elapsed
-				st.fixedNS += f.Elapsed
-			}
-			perf := 1.0
-			if f.Elapsed > 0 {
-				perf = float64(best) / float64(f.Elapsed)
-			}
-			ref := ref
-			ref.Cluster = ci
-			p.samples[class] = append(p.samples[class], Sample{
-				Rank:       f.Rank,
-				Start:      f.Start,
-				Elapsed:    f.Elapsed,
-				Perf:       perf,
-				Covered:    covered,
-				ClusterRef: ref,
-				FragIndex:  m,
-			})
-		}
-		if p.singleClass {
-			p.cstate = append(p.cstate, st)
-		}
-	}
-	if p.singleClass {
-		p.spanOff = append(p.spanOff, int32(len(p.samples[p.class])))
-	}
-	for c := 0; c < numClasses; c++ {
-		n := len(p.samples[c])
-		starts := make([]int64, n)
-		elapsed := make([]int64, n)
-		covered := make([]bool, n)
-		for i := range p.samples[c] {
-			s := &p.samples[c][i]
-			starts[i], elapsed[i], covered[i] = s.Start, s.Elapsed, s.Covered
-		}
-		p.sampleIdx[c] = buildSpanIndex(starts, elapsed, covered)
-	}
-	var fragStarts, fragElapsed [numClasses][]int64
-	for i := range frags {
-		f := &frags[i]
-		class := ClassOf(f.Kind)
-		fragStarts[class] = append(fragStarts[class], f.Start)
-		fragElapsed[class] = append(fragElapsed[class], f.Elapsed)
-		p.totalAll[class] += f.Elapsed
-	}
-	for c := 0; c < numClasses; c++ {
-		p.fragIdx[c] = buildSpanIndex(fragStarts[c], fragElapsed[c], nil)
-	}
-	return p
-}
-
 // window fills out with the element's contribution to one analysis
 // window — exactly what normalizeElement(frags, cl, ref, opt, start,
 // end) computes, but as references into the memoized full-population
-// prep: whole[c] shares the canonical slice, sel[c] names the selected
-// positions. The merge step copies each selected sample exactly once
-// into the final right-sized result slice.
+// prep: whole marks an unbounded pass (every live sample), sel[c] names
+// the selected store positions otherwise. The merge step materializes
+// each selected sample exactly once into the final right-sized result
+// slice.
 func (p *prepElem) window(start, end int64, out *elemOut) {
-	if p.storeMode() {
-		p.windowStore(start, end, out)
-		return
-	}
 	out.prep = p
 	out.fixedClusters = p.fixedClusters
 	out.smallClusters = p.smallClusters
 	if start == math.MinInt64 && end == math.MaxInt64 {
-		// Whole-run pass: everything is in range.
-		for c := 0; c < numClasses; c++ {
-			out.whole[c] = true
-		}
+		out.whole = true
 		out.fixed = p.fixedAll
 		out.total = p.totalAll
 		return
 	}
-	for c := 0; c < numClasses; c++ {
-		sel, fixed := p.sampleIdx[c].selectOverlapping(start, end)
-		if len(sel) == len(p.samples[c]) {
-			out.whole[c] = true
-			out.fixed[c] = p.fixedAll[c]
-		} else {
-			out.sel[c] = sel
-			out.fixed[c] = fixed
+	for c, st := range p.stores {
+		if st == nil {
+			continue
 		}
-		if len(p.fragIdx[c].starts) > 0 {
-			out.total[c] = p.fragIdx[c].sumOverlapping(start, end)
-		}
+		out.sel[c], out.fixed[c] = p.selectLive(st, start, end)
+		out.total[c] = st.frags.sumOverlapping(start, end)
 	}
 }

@@ -9,83 +9,116 @@ import (
 	"vapro/internal/trace"
 )
 
-// Chunked append-only sample storage: the O(new-data) replacement for
-// the flat per-class samples arrays.
+// Chunked append-only sample storage: the one prep representation.
 //
-// The flat representation pays O(resident) per advance twice over: the
-// canonical samples slice is memcpy-rebuilt (emission is cluster-major,
-// so new members of a grown cluster land in the MIDDLE of the array),
-// and both span indexes are extended by full sorted merges. The store
-// removes both costs with one structural observation about the 1-D
-// fast path (all-Comp fragments, no extra metrics): clusters are
-// contiguous runs of the stable (norm, fragment-index) sorted order,
-// and equal norms never split across clusters, so the canonical
-// cluster-major emission order IS the global (norm, fragment-index)
-// lexicographic order restricted to emitted clusters. Storage can
-// therefore be append-ordered — O(batch) per advance — and the
-// canonical order recovered at materialization time by sorting the
-// (usually window-sized) selection by that key.
+// Every element — 1-D computation edges, multi-D communication and IO
+// vertices, UseExtraMetrics runs, mixed-kind vertices — keeps its
+// normalized samples in one chunked append log per class present, next
+// to a segmented span index over that log and another over the class's
+// fragments. An append-only generation step then costs O(batch): grown
+// clusters append just their new members, rebuilt clusters retire
+// their old stable id and re-emit under a fresh one, and nothing
+// already stored is moved or rewritten.
 //
-// Mutable per-sample fields never block appending because they are
-// derived lazily at materialization from the owning cluster's current
-// state: Perf from the monotone best, Covered from the monotone
-// per-rank counts, and the cluster index through a stable cluster id
-// recorded at append time. A rebuilt cluster retires its id, which
-// makes its old samples dead; dead positions are skipped at selection
-// time and reclaimed by a full compaction rebuild once they exceed a
-// quarter of the store.
+// Storage order is free. Stage 2 of Analyzer.run sorts every class's
+// merged samples by the total key sampleLess (Start, owning element,
+// fragment index) before anything folds over them, so the order an
+// element emits its samples in is never observable: selection and
+// materialization simply walk the store.
 //
-// The span indexes become segmented (one sorted segment appended per
+// A stored record is compact — start, elapsed, rank and fragment index
+// — and the mutable per-sample fields are derived at materialization
+// from the owning cluster's current state: Perf from the monotone
+// fastest member, Covered from the monotone per-rank counts, and the
+// cluster index through a stable cluster id recorded at append time. A
+// rebuilt cluster retires its id, which makes its old samples dead;
+// dead positions are skipped at selection time and reclaimed by a
+// compaction rebuild once they exceed a quarter of the store.
+//
+// The span indexes are segmented (one sorted segment appended per
 // advance, geometrically merged so lookups stay O(log² n) and appends
 // amortize to O(log n) — the classic logarithmic method), because a
 // flat sorted array can't absorb O(batch) inserts in place.
+//
+// Mixed-kind vertices build into the same stores but never advance: a
+// cluster there can span several classes, so its covered time would
+// have to be tracked per class. They rebuild on every generation.
 
 const (
 	storeChunkShift = 10
 	storeChunkSize  = 1 << storeChunkShift
 	storeChunkMask  = storeChunkSize - 1
+	// storeFirstChunkCap is the first chunk's initial capacity: small
+	// elements (most vertices) stay small, and the first chunk grows
+	// geometrically to storeChunkSize like any slice.
+	storeFirstChunkCap = 32
 )
 
-// storeChunk holds up to storeChunkSize samples plus the per-sample
-// clustering key material (norm for canonical ordering, stable cluster
-// id for lazy derivation and liveness).
-type storeChunk struct {
-	samples []Sample
-	norm    []float64
-	cid     []int32
+// storeRec is one stored sample: the fields a Sample copies verbatim
+// from its fragment. Rank and fragment index are int32 — the wire
+// intake rejects ranks outside [0, MaxInt32].
+type storeRec struct {
+	start, elapsed int64
+	rank, frag     int32
 }
 
-// sampleStore is the chunked append log. Positions are dense int32s:
+// storeChunk holds up to storeChunkSize records plus each record's
+// stable cluster id (for lazy derivation and liveness).
+type storeChunk struct {
+	recs []storeRec
+	cid  []int32
+}
+
+// sampleStore is one class's share of an element prep: the chunked
+// append log of its samples and the segmented span indexes over those
+// samples and over the class's fragments. Positions are dense int32s:
 // chunk = pos>>storeChunkShift, offset = pos&storeChunkMask. Positions
 // are never reused; samples die when their cluster id is retired.
 type sampleStore struct {
 	chunks []*storeChunk
 	n      int32 // appended, including dead
 	dead   int32 // retired by cluster rebuilds
+	// samples indexes store positions by span; frags indexes fragment
+	// indexes of this class (the coverage denominator counts every
+	// fragment, not just emitted cluster members).
+	samples segIndex
+	frags   segIndex
 }
 
-// append stores one sample and returns its position. Amortized
-// allocation-free: three slice allocations per 1024 appends.
-func (st *sampleStore) append(s Sample, norm float64, cid int32) int32 {
+// live is the number of samples whose cluster is still current.
+func (st *sampleStore) live() int { return int(st.n - st.dead) }
+
+// append stores one record and returns its position. Amortized
+// allocation-free: two slice allocations per full chunk.
+func (st *sampleStore) append(r storeRec, cid int32) int32 {
 	pos := st.n
 	ci := int(pos >> storeChunkShift)
 	if ci == len(st.chunks) {
+		c := storeChunkSize
+		if ci == 0 {
+			c = storeFirstChunkCap
+		}
 		st.chunks = append(st.chunks, &storeChunk{
-			samples: make([]Sample, 0, storeChunkSize),
-			norm:    make([]float64, 0, storeChunkSize),
-			cid:     make([]int32, 0, storeChunkSize),
+			recs: make([]storeRec, 0, c),
+			cid:  make([]int32, 0, c),
 		})
 	}
 	ch := st.chunks[ci]
-	ch.samples = append(ch.samples, s)
-	ch.norm = append(ch.norm, norm)
+	if len(ch.recs) == cap(ch.recs) {
+		// Only the first chunk starts below storeChunkSize.
+		c := min(2*cap(ch.recs), storeChunkSize)
+		ch.recs = append(make([]storeRec, 0, c), ch.recs...)
+		ch.cid = append(make([]int32, 0, c), ch.cid...)
+	}
+	ch.recs = append(ch.recs, r)
 	ch.cid = append(ch.cid, cid)
 	st.n++
 	return pos
 }
 
-func (st *sampleStore) chunkOf(pos int32) (*storeChunk, int32) {
-	return st.chunks[pos>>storeChunkShift], pos & storeChunkMask
+func (st *sampleStore) at(pos int32) (*storeRec, int32) {
+	ch, off := st.chunks[pos>>storeChunkShift], pos&storeChunkMask
+	return &ch.recs[off], ch.cid[off]
 }
 
 // segSpans is one sorted segment of a segmented span index: entries
@@ -99,13 +132,19 @@ type segSpans struct {
 	maxElapsed int64
 }
 
+func (s *segSpans) push(pos int32, start, elapsed int64) {
+	s.pos = append(s.pos, pos)
+	s.starts = append(s.starts, start)
+	s.elapsed = append(s.elapsed, elapsed)
+}
+
 // segIndex is the segmented span index: one segment appended per
 // advance, geometrically merged so the segment count stays O(log n).
 type segIndex struct {
 	segs []segSpans
 }
 
-// add appends one pre-sorted segment and re-establishes the geometric
+// add sorts one segment and appends it, re-establishing the geometric
 // invariant: a segment at least half the size of its predecessor is
 // merged into it (repeatedly), which amortizes total merge work to
 // O(n log n) over the store's lifetime.
@@ -113,6 +152,7 @@ func (ix *segIndex) add(seg segSpans) {
 	if len(seg.pos) == 0 {
 		return
 	}
+	sortSeg(&seg)
 	ix.segs = append(ix.segs, seg)
 	for len(ix.segs) >= 2 {
 		a := &ix.segs[len(ix.segs)-2]
@@ -134,30 +174,26 @@ func mergeSegs(a, b segSpans) segSpans {
 		pos:        make([]int32, 0, n),
 		starts:     make([]int64, 0, n),
 		elapsed:    make([]int64, 0, n),
-		maxElapsed: a.maxElapsed,
-	}
-	if b.maxElapsed > out.maxElapsed {
-		out.maxElapsed = b.maxElapsed
+		maxElapsed: max(a.maxElapsed, b.maxElapsed),
 	}
 	i, j := 0, 0
 	for i < len(a.pos) || j < len(b.pos) {
 		if j >= len(b.pos) || (i < len(a.pos) && a.starts[i] <= b.starts[j]) {
-			out.pos = append(out.pos, a.pos[i])
-			out.starts = append(out.starts, a.starts[i])
-			out.elapsed = append(out.elapsed, a.elapsed[i])
+			out.push(a.pos[i], a.starts[i], a.elapsed[i])
 			i++
 		} else {
-			out.pos = append(out.pos, b.pos[j])
-			out.starts = append(out.starts, b.starts[j])
-			out.elapsed = append(out.elapsed, b.elapsed[j])
+			out.push(b.pos[j], b.starts[j], b.elapsed[j])
 			j++
 		}
 	}
 	return out
 }
 
-// candidates returns the [lo, hi) band of one segment that can overlap
-// [start, end) — same saturating threshold as spanIndex.candidates.
+// candidates returns the [lo, hi) band of one segment whose spans can
+// overlap [start, end); each candidate still needs the exact
+// start+elapsed > start check. A span [s, s+e) overlaps iff s < end
+// && s+e > start, which needs s > start-maxElapsed (saturating: start
+// near MinInt64 would wrap).
 func (s *segSpans) candidates(start, end int64) (lo, hi int) {
 	thresh := start - s.maxElapsed
 	if s.maxElapsed > 0 && thresh > start {
@@ -188,9 +224,6 @@ func (ix *segIndex) sumOverlapping(start, end int64) int64 {
 // sortSeg sorts one segment by (start, position) and fills maxElapsed.
 func sortSeg(s *segSpans) {
 	n := len(s.pos)
-	if n == 0 {
-		return
-	}
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
@@ -202,54 +235,46 @@ func sortSeg(s *segSpans) {
 		}
 		return s.pos[ia] < s.pos[ib]
 	})
-	pos := make([]int32, n)
-	starts := make([]int64, n)
-	elapsed := make([]int64, n)
+	out := segSpans{
+		pos:     make([]int32, n),
+		starts:  make([]int64, n),
+		elapsed: make([]int64, n),
+	}
 	for i, o := range idx {
-		pos[i] = s.pos[o]
-		starts[i] = s.starts[o]
-		elapsed[i] = s.elapsed[o]
-		if s.elapsed[o] > s.maxElapsed {
-			s.maxElapsed = s.elapsed[o]
-		}
+		out.pos[i] = s.pos[o]
+		out.starts[i] = s.starts[o]
+		out.elapsed[i] = s.elapsed[o]
+		out.maxElapsed = max(out.maxElapsed, s.elapsed[o])
 	}
-	s.pos, s.starts, s.elapsed = pos, starts, elapsed
+	*s = out
 }
 
-// storeMode reports whether the prep is backed by the chunked store.
-func (p *prepElem) storeMode() bool { return p.store != nil }
-
-// storeEligible reports whether an element can take the store path:
-// the 1-D clustering fast path (all computation fragments, no extra
-// metrics), which is what guarantees the canonical-order-by-(norm,
-// index) property the store relies on.
-func storeEligible(frags []trace.Fragment, opt Options) bool {
-	if opt.DisableIncremental || opt.DisableSampleStore || opt.Cluster.UseExtraMetrics || len(frags) == 0 {
-		return false
+// buildPrep runs the full-population normalization once (the same walk
+// normalizeElement does with an unbounded window) and emits it into the
+// element's per-class stores, with per-cluster append state (per-rank
+// counts and elapsed sums for coverage crossings, stored-sample counts
+// for validation).
+func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
+	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref, minFrag: minFragments(opt)}
+	if len(frags) > 0 {
+		p.class = ClassOf(frags[0].Kind)
 	}
+	var fsegs [numClasses]segSpans
 	for i := range frags {
-		if frags[i].Kind != trace.Comp {
-			return false
+		f := &frags[i]
+		c := ClassOf(f.Kind)
+		if c != p.class {
+			p.mixed = true
 		}
+		if p.stores[c] == nil {
+			p.stores[c] = &sampleStore{}
+		}
+		fsegs[c].push(int32(i), f.Start, f.Elapsed)
+		p.totalAll[c] += f.Elapsed
 	}
-	return true
-}
 
-// buildPrepStore is buildPrep for the store representation: the same
-// per-cluster normalization walk, but emitting into the chunked store
-// with per-cluster append state (per-rank elapsed sums for coverage
-// crossings, stored-sample counts for validation) and segmented span
-// indexes.
-func buildPrepStore(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
-	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref,
-		singleClass: true, class: Computation, store: &sampleStore{}}
-	minFrag := opt.Cluster.MinFragments
-	if minFrag <= 0 {
-		minFrag = 5
-	}
-	p.minFrag = minFrag
 	nc := len(cl.Clusters)
-	p.cstate = make([]clustState, 0, nc)
+	p.cstate = make([]clustState, nc)
 	p.ids = make([]int32, nc)
 	p.slotOf = make([]int32, nc)
 	for ci := range p.ids {
@@ -257,97 +282,96 @@ func buildPrepStore(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, o
 		p.slotOf[ci] = int32(ci)
 	}
 	p.nextID = int32(nc)
-	class := p.class
 
-	seg := segSpans{}
+	var segs [numClasses]segSpans
 	for ci := range cl.Clusters {
 		c := &cl.Clusters[ci]
-		if c.Fixed {
-			p.fixedClusters++
-		} else {
+		if !c.Fixed {
 			p.smallClusters++
-			p.cstate = append(p.cstate, clustState{})
 			continue
 		}
-		st := clustState{perRank: make(map[int]int), perRankNS: make(map[int]int64)}
-		best := int64(math.MaxInt64)
-		for _, m := range c.Members {
-			f := &frags[m]
-			st.perRank[f.Rank]++
-			st.perRankNS[f.Rank] += f.Elapsed
-			if e := f.Elapsed; e > 0 && e < best {
-				best = e
+		p.fixedClusters++
+		cst := p.walkCluster(frags, c)
+		if cst.emitted {
+			for _, m := range c.Members {
+				f := &frags[m]
+				class := ClassOf(f.Kind)
+				if cst.perRank[f.Rank] >= p.minFrag {
+					p.fixedAll[class] += f.Elapsed
+				}
+				p.stores[class].emit(&segs[class], f, m, p.ids[ci])
 			}
 		}
-		if best == math.MaxInt64 {
-			p.cstate = append(p.cstate, st)
-			continue
-		}
-		st.emitted, st.best = true, best
-		id := p.ids[ci]
-		for _, m := range c.Members {
-			f := &frags[m]
-			if st.perRank[f.Rank] >= minFrag {
-				st.fixedNS += f.Elapsed
-			}
-			// Perf/Covered/ClusterRef.Cluster are derived lazily at
-			// materialization; store the invariant fields only.
-			pos := p.store.append(Sample{
-				Rank:      f.Rank,
-				Start:     f.Start,
-				Elapsed:   f.Elapsed,
-				FragIndex: m,
-			}, float64(f.Counters.TotIns), id)
-			seg.pos = append(seg.pos, pos)
-			seg.starts = append(seg.starts, f.Start)
-			seg.elapsed = append(seg.elapsed, f.Elapsed)
-		}
-		st.nStored = int32(len(c.Members))
-		p.fixedAll[class] += st.fixedNS
-		p.cstate = append(p.cstate, st)
+		p.cstate[ci] = cst
 	}
-	p.liveCount = int(p.store.n)
-
-	// The emission walk is cluster-major, not time-sorted: sort the
-	// first segment by (start, position).
-	sortSeg(&seg)
-	p.sampleSeg.add(seg)
-
-	fseg := segSpans{pos: make([]int32, 0, len(frags)), starts: make([]int64, 0, len(frags)), elapsed: make([]int64, 0, len(frags))}
-	for i := range frags {
-		f := &frags[i]
-		fseg.pos = append(fseg.pos, int32(i))
-		fseg.starts = append(fseg.starts, f.Start)
-		fseg.elapsed = append(fseg.elapsed, f.Elapsed)
-		p.totalAll[class] += f.Elapsed
+	for c, st := range p.stores {
+		if st != nil {
+			st.samples.add(segs[c])
+			st.frags.add(fsegs[c])
+		}
 	}
-	sortSeg(&fseg)
-	p.fragSeg.add(fseg)
 	return p
 }
 
-// advanceStore is advance() for the store representation: O(batch).
-// Prefix and tail clusters keep their state (only the tail's slot
-// mapping shifts), grown emitted clusters append just their added
-// members, rebuilt clusters retire their old id (their old samples
-// die in place) and re-emit under a fresh one. Nothing already stored
-// is touched; the lazily-derived fields absorb best and coverage
-// movement. When retiring would push dead samples past a quarter of
-// the store it refuses and flags a compaction instead, leaving the
-// prep untouched for the rebuild.
-func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
-	if d.Full || p.copt != opt.Cluster || d.From != p.gen {
-		return false
+// walkCluster computes a fixed cluster's normalization state from its
+// members: per-rank counts and elapsed sums, the fastest member, and —
+// when that best is valid (some member ran for a positive time) — the
+// emission bookkeeping the caller then stores the members under.
+func (p *prepElem) walkCluster(frags []trace.Fragment, c *cluster.Cluster) clustState {
+	cst := clustState{perRank: make(map[int]int, 8), perRankNS: make(map[int]int64, 8)}
+	best := int64(math.MaxInt64)
+	for _, m := range c.Members {
+		f := &frags[m]
+		cst.perRank[f.Rank]++
+		cst.perRankNS[f.Rank] += f.Elapsed
+		if e := f.Elapsed; e > 0 && e < best {
+			best = e
+		}
 	}
+	if best == math.MaxInt64 {
+		return cst
+	}
+	cst.emitted, cst.best = true, best
+	for _, m := range c.Members {
+		f := &frags[m]
+		if cst.perRank[f.Rank] >= p.minFrag {
+			cst.fixedNS += f.Elapsed
+		}
+	}
+	cst.nStored = int32(len(c.Members))
+	return cst
+}
+
+// emit appends fragment m as a sample of cluster id and records it in
+// the pending index segment.
+func (st *sampleStore) emit(seg *segSpans, f *trace.Fragment, m int, id int32) {
+	pos := st.append(storeRec{start: f.Start, elapsed: f.Elapsed, rank: int32(f.Rank), frag: int32(m)}, id)
+	seg.push(pos, f.Start, f.Elapsed)
+}
+
+// advance patches the prep with an append-only clustering delta in
+// O(batch), in place, and reports advanced — or why the caller must
+// rebuild instead. Prefix and tail clusters keep their state (only the
+// tail's slot mapping shifts), grown emitted clusters append just their
+// added members, rebuilt clusters retire their old id (their old
+// samples die in place) and re-emit under a fresh one. Nothing already
+// stored is touched; the lazily-derived fields absorb best and coverage
+// movement. When retiring would push dead samples past a quarter of
+// the store it refuses with rebuildCompaction, leaving the prep
+// untouched for the rebuild.
+func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) rebuildReason {
 	oldN := p.nfrags
 	nn := len(frags)
-	if nn <= oldN || len(cl.Assign) != nn {
-		return false
+	if p.mixed {
+		return rebuildMixed
 	}
 	for i := oldN; i < nn; i++ {
-		if frags[i].Kind != trace.Comp {
-			return false
+		if ClassOf(frags[i].Kind) != p.class {
+			return rebuildMixed
 		}
+	}
+	if d.Full || p.copt != opt.Cluster || d.From != p.gen || nn <= oldN || len(cl.Assign) != nn {
+		return rebuildDelta
 	}
 	minFrag := p.minFrag
 	oldNC := len(p.cstate)
@@ -357,7 +381,7 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 		d.Prefix > d.TailOld || d.TailOld > oldNC ||
 		d.TailNew-d.Prefix != len(d.Dirty) ||
 		newNC-d.TailNew != oldNC-d.TailOld {
-		return false
+		return rebuildDelta
 	}
 	// Validate the whole delta and count retirements before mutating any
 	// shared state (the per-rank maps are updated in place below, and a
@@ -369,14 +393,14 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 			continue
 		}
 		if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld || claimed[dr.OldIndex] {
-			return false
+			return rebuildDelta
 		}
 		claimed[dr.OldIndex] = true
 		cc := &cl.Clusters[d.Prefix+di]
 		os := &p.cstate[dr.OldIndex]
 		if os.emitted {
 			if int(os.nStored) != len(cc.Members)-len(dr.AddedPos) {
-				return false
+				return rebuildDelta
 			}
 			if !cc.Fixed {
 				// Defensive: growth can't un-fix a cluster, but if it
@@ -384,7 +408,7 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 				deaths += os.nStored
 			}
 		} else if os.nStored != 0 {
-			return false
+			return rebuildDelta
 		}
 	}
 	// Unclaimed clusters in the dirty region were rebuilt wholesale:
@@ -394,10 +418,10 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 			deaths += p.cstate[oi].nStored
 		}
 	}
-	st := p.store
+	class := p.class
+	st := p.stores[class]
 	if 4*(st.dead+deaths) > st.n {
-		p.storeCompactPending = true
-		return false
+		return rebuildCompaction
 	}
 
 	newIDs := make([]int32, newNC)
@@ -410,20 +434,7 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 		newState[ci] = p.cstate[ci+shiftOld]
 	}
 
-	class := p.class
-	seg := segSpans{}
-	emit := func(f *trace.Fragment, m int, id int32) {
-		pos := st.append(Sample{
-			Rank:      f.Rank,
-			Start:     f.Start,
-			Elapsed:   f.Elapsed,
-			FragIndex: m,
-		}, float64(f.Counters.TotIns), id)
-		seg.pos = append(seg.pos, pos)
-		seg.starts = append(seg.starts, f.Start)
-		seg.elapsed = append(seg.elapsed, f.Elapsed)
-	}
-
+	var seg segSpans
 	for di, dr := range d.Dirty {
 		ci := d.Prefix + di
 		cc := &cl.Clusters[ci]
@@ -448,7 +459,7 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 				if e := f.Elapsed; e > 0 && e < cst.best {
 					cst.best = e
 				}
-				emit(f, m, id)
+				st.emit(&seg, f, m, id)
 				cst.nStored++
 			}
 			newIDs[ci] = id
@@ -463,32 +474,14 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 		p.nextID++
 		newIDs[ci] = id
 		if !cc.Fixed {
-			newState[ci] = clustState{}
 			continue
 		}
-		cst := clustState{perRank: make(map[int]int, 8), perRankNS: make(map[int]int64, 8)}
-		best := int64(math.MaxInt64)
-		for _, m := range cc.Members {
-			f := &frags[m]
-			cst.perRank[f.Rank]++
-			cst.perRankNS[f.Rank] += f.Elapsed
-			if e := f.Elapsed; e > 0 && e < best {
-				best = e
+		cst := p.walkCluster(frags, cc)
+		if cst.emitted {
+			for _, m := range cc.Members {
+				st.emit(&seg, &frags[m], m, id)
 			}
 		}
-		if best == math.MaxInt64 {
-			newState[ci] = cst
-			continue
-		}
-		cst.emitted, cst.best = true, best
-		for _, m := range cc.Members {
-			f := &frags[m]
-			if cst.perRank[f.Rank] >= minFrag {
-				cst.fixedNS += f.Elapsed
-			}
-			emit(f, m, id)
-		}
-		cst.nStored = int32(len(cc.Members))
 		newState[ci] = cst
 	}
 
@@ -517,191 +510,86 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 			p.smallClusters++
 		}
 	}
-	for i := oldN; i < nn; i++ {
-		p.totalAll[class] += frags[i].Elapsed
+	fseg := segSpans{
+		pos:     make([]int32, 0, nn-oldN),
+		starts:  make([]int64, 0, nn-oldN),
+		elapsed: make([]int64, 0, nn-oldN),
 	}
-
-	// Whole-order cache: an append-only advance (no retirements) just
-	// splices the new positions into the cached canonical order; any
-	// deaths invalidate it for a lazy rebuild.
-	if deaths != 0 {
-		p.wholeOrder = nil
-	} else if p.wholeOrder != nil && len(seg.pos) > 0 {
-		p.mergeWholeOrder(seg.pos)
-	}
-
-	sortSeg(&seg)
-	p.sampleSeg.add(seg)
-	fseg := segSpans{pos: make([]int32, 0, nn-oldN), starts: make([]int64, 0, nn-oldN), elapsed: make([]int64, 0, nn-oldN)}
 	for i := oldN; i < nn; i++ {
 		f := &frags[i]
-		fseg.pos = append(fseg.pos, int32(i))
-		fseg.starts = append(fseg.starts, f.Start)
-		fseg.elapsed = append(fseg.elapsed, f.Elapsed)
+		fseg.push(int32(i), f.Start, f.Elapsed)
+		p.totalAll[class] += f.Elapsed
 	}
-	sortSeg(&fseg)
-	p.fragSeg.add(fseg)
+	st.samples.add(seg)
+	st.frags.add(fseg)
 
-	p.liveCount = int(st.n - st.dead)
 	p.gen = gen
 	p.nfrags = nn
-	return true
+	return advanced
 }
 
-// windowStore fills the element's window contribution from the store:
-// segment-banded candidate scan, liveness through the slot map, lazy
-// covered lookups for the fixed sum, canonical (norm, index) ordering
-// of the selection.
-func (p *prepElem) windowStore(start, end int64, out *elemOut) {
-	out.prep = p
-	out.fixedClusters = p.fixedClusters
-	out.smallClusters = p.smallClusters
-	c := p.class
-	if start == math.MinInt64 && end == math.MaxInt64 {
-		for cc := 0; cc < numClasses; cc++ {
-			out.whole[cc] = true
-		}
-		out.fixed = p.fixedAll
-		out.total = p.totalAll
-		return
-	}
-	sel, fixed := p.selectStore(start, end)
-	if len(sel) == p.liveCount {
-		out.whole[c] = true
-		out.fixed[c] = p.fixedAll[c]
-	} else {
-		out.sel[c] = sel
-		out.fixed[c] = fixed
-	}
-	out.total[c] = p.fragSeg.sumOverlapping(start, end)
-}
-
-// selectStore returns the live store positions overlapping [start,
-// end) in canonical (norm, fragment-index) order, plus the covered
-// elapsed sum over the selection.
-func (p *prepElem) selectStore(start, end int64) (sel []int32, fixed int64) {
-	st := p.store
-	for si := range p.sampleSeg.segs {
-		s := &p.sampleSeg.segs[si]
+// selectLive returns the live positions of st overlapping [start, end)
+// (in segment order — see the file comment for why order is free), plus
+// the covered elapsed sum over the selection.
+func (p *prepElem) selectLive(st *sampleStore, start, end int64) (sel []int32, fixed int64) {
+	for si := range st.samples.segs {
+		s := &st.samples.segs[si]
 		lo, hi := s.candidates(start, end)
 		for i := lo; i < hi; i++ {
 			if s.starts[i]+s.elapsed[i] <= start {
 				continue
 			}
 			pos := s.pos[i]
-			ch, off := st.chunkOf(pos)
-			slot := p.slotOf[ch.cid[off]]
+			r, cid := st.at(pos)
+			slot := p.slotOf[cid]
 			if slot < 0 {
 				continue // cluster rebuilt; sample retired
 			}
 			sel = append(sel, pos)
-			cst := &p.cstate[slot]
-			if cst.perRank[ch.samples[off].Rank] >= p.minFrag {
+			if p.cstate[slot].perRank[int(r.rank)] >= p.minFrag {
 				fixed += s.elapsed[i]
 			}
 		}
 	}
-	p.sortCanonical(sel)
 	return sel, fixed
 }
 
-// sortCanonical orders store positions by (norm, fragment index) — the
-// canonical emission order (see the file comment for why those
-// coincide on the 1-D path).
-func (p *prepElem) sortCanonical(sel []int32) {
-	st := p.store
-	sort.Slice(sel, func(a, b int) bool {
-		ca, oa := st.chunkOf(sel[a])
-		cb, ob := st.chunkOf(sel[b])
-		if ca.norm[oa] != cb.norm[ob] {
-			return ca.norm[oa] < cb.norm[ob]
-		}
-		return ca.samples[oa].FragIndex < cb.samples[ob].FragIndex
-	})
+// sample materializes one stored record, deriving the mutable fields
+// from current cluster state: Perf against the cluster's current
+// fastest member, Covered from the current per-rank counts, ClusterRef
+// through the slot map. ok is false for a retired sample.
+func (p *prepElem) sample(st *sampleStore, pos int32) (s Sample, ok bool) {
+	r, cid := st.at(pos)
+	slot := p.slotOf[cid]
+	if slot < 0 {
+		return s, false
+	}
+	cst := &p.cstate[slot]
+	s = Sample{Rank: int(r.rank), Start: r.start, Elapsed: r.elapsed, Perf: 1.0, FragIndex: int(r.frag)}
+	if s.Elapsed > 0 {
+		s.Perf = float64(cst.best) / float64(s.Elapsed)
+	}
+	s.Covered = cst.perRank[s.Rank] >= p.minFrag
+	s.ClusterRef = p.ref
+	s.ClusterRef.Cluster = int(slot)
+	return s, true
 }
 
-// mergeWholeOrder splices freshly appended store positions into the
-// cached canonical whole-population order without re-sorting it: the
-// batch is cloned and sorted canonically (O(k log k)), each insertion
-// point among the existing order is binary-searched (O(k log n)), and
-// the shifted suffixes move once each in a single backward pass of
-// chunked copies. Keys are unique — fragment indexes never repeat
-// among live samples — so the insertion points are unambiguous.
-func (p *prepElem) mergeWholeOrder(added []int32) {
-	n := len(p.wholeOrder)
-	batch := append([]int32(nil), added...)
-	p.sortCanonical(batch)
-	k := len(batch)
-	st := p.store
-	key := func(pos int32) (float64, int) {
-		ch, off := st.chunkOf(pos)
-		return ch.norm[off], ch.samples[off].FragIndex
-	}
-	ipos := make([]int, k)
-	order := p.wholeOrder
-	for j, np := range batch {
-		bn, bf := key(np)
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			en, ef := key(order[mid])
-			if en < bn || (en == bn && ef < bf) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+// appendSamples materializes class c's contribution into buf: every
+// live sample when sel is nil, the selected positions otherwise.
+func (p *prepElem) appendSamples(buf []Sample, c Class, sel []int32) []Sample {
+	st := p.stores[c]
+	if sel != nil {
+		for _, pos := range sel {
+			s, _ := p.sample(st, pos)
+			buf = append(buf, s)
 		}
-		ipos[j] = lo
+		return buf
 	}
-	order = append(order, batch...)
-	moveHi := n
-	for j := k - 1; j >= 0; j-- {
-		copy(order[ipos[j]+j+1:moveHi+j+1], order[ipos[j]:moveHi])
-		order[ipos[j]+j] = batch[j]
-		moveHi = ipos[j]
-	}
-	p.wholeOrder = order
-}
-
-// appendStore materializes the given positions (already canonical)
-// into buf, deriving the mutable fields from current cluster state:
-// Perf against the cluster's current fastest member, Covered from the
-// current per-rank counts, ClusterRef through the slot map.
-func (p *prepElem) appendStore(buf []Sample, positions []int32) []Sample {
-	st := p.store
-	for _, pos := range positions {
-		ch, off := st.chunkOf(pos)
-		s := ch.samples[off]
-		slot := p.slotOf[ch.cid[off]]
-		cst := &p.cstate[slot]
-		s.Perf = 1.0
-		if s.Elapsed > 0 {
-			s.Perf = float64(cst.best) / float64(s.Elapsed)
+	for pos := int32(0); pos < st.n; pos++ {
+		if s, ok := p.sample(st, pos); ok {
+			buf = append(buf, s)
 		}
-		s.Covered = cst.perRank[s.Rank] >= p.minFrag
-		ref := p.ref
-		ref.Cluster = int(slot)
-		s.ClusterRef = ref
-		buf = append(buf, s)
 	}
 	return buf
-}
-
-// appendAllStore materializes every live sample in canonical order,
-// through a lazily rebuilt whole-order cache (invalidated per advance,
-// rebuilt on demand from the single-threaded merge stage).
-func (p *prepElem) appendAllStore(buf []Sample) []Sample {
-	if p.wholeOrder == nil {
-		order := make([]int32, 0, p.liveCount)
-		st := p.store
-		for pos := int32(0); pos < st.n; pos++ {
-			ch, off := st.chunkOf(pos)
-			if p.slotOf[ch.cid[off]] >= 0 {
-				order = append(order, pos)
-			}
-		}
-		p.sortCanonical(order)
-		p.wholeOrder = order
-	}
-	return p.appendStore(buf, p.wholeOrder)
 }

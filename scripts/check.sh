@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# The end-to-end benchmark is a module of its own; run its determinism
+# and output-gate tests too (`make perfbench-test`).
+(cd perfbench && go test ./...)
 go test -race ./internal/mpi ./internal/collector ./internal/core \
 	./internal/interpose ./internal/detect ./internal/cluster \
 	./internal/obs ./internal/faults ./internal/wal
@@ -85,8 +88,10 @@ for name in vapro_uptime_seconds vapro_intake_staged vapro_intake_batches_total 
 	vapro_net_reconnects_total vapro_net_spill_depth \
 	vapro_detect_window_ns vapro_cluster_cache_hits \
 	vapro_cluster_cache_inc_hits vapro_detect_prep_rebuilds_total \
+	vapro_detect_prep_rebuilds_cold_total vapro_detect_prep_rebuilds_mixed_total \
+	vapro_detect_prep_rebuilds_compaction_total vapro_detect_prep_rebuilds_delta_total \
 	vapro_storage_bytes_per_rank_second \
-	vapro_detect_store_appends_total vapro_detect_store_compactions_total \
+	vapro_detect_store_appends_total \
 	vapro_detect_region_cells_carried_total \
 	vapro_detect_region_cells_regrown_total \
 	vapro_view_cursor_advances_total vapro_view_epoch_rebases_total \
