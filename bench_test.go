@@ -11,6 +11,7 @@
 package vapro_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -379,21 +380,18 @@ func BenchmarkTreeAggregation(b *testing.B) {
 	}
 }
 
-// Wire transport cost: gob-encoding fragment batches (the client->server
-// hop of Figure 8).
+// Wire transport cost: framing one fragment batch for the
+// client->server hop of Figure 8 (a uvarint length header plus the
+// trace.AppendBatch payload).
 func BenchmarkWireEncode(b *testing.B) {
 	frags := synthFrags(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := collector.NewWireClient(nopCloser{io.Discard})
-		c.Consume(0, frags)
-		b.SetBytes(c.BytesOut())
+		payload := trace.AppendBatch(nil, 0, frags)
+		frame := append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+		b.SetBytes(int64(len(frame)))
 	}
 }
-
-type nopCloser struct{ io.Writer }
-
-func (nopCloser) Close() error { return nil }
 
 // --- ingestion-plane benches (§3.5/§5 server intake + window analysis) ---
 

@@ -3,7 +3,6 @@ package collector
 import (
 	"net/http"
 
-	"vapro/internal/cluster"
 	"vapro/internal/detect"
 	"vapro/internal/interpose"
 	"vapro/internal/obs"
@@ -38,7 +37,6 @@ type Metrics struct {
 	WirePanics         *obs.Counter // subset: decoder panics caught by recover
 	WireSeqGaps        *obs.Counter // batches inferred lost from sequence gaps
 	WireDups           *obs.Counter // duplicate batches suppressed (retransmits)
-	WireClientDrops    *obs.Counter // batches a legacy WireClient discarded after its sticky error
 
 	// Net is the resilient client's surface: connection churn and the
 	// fate of every batch that could not be shipped immediately.
@@ -124,8 +122,6 @@ func NewMetrics() *Metrics {
 			"batches inferred lost from per-rank sequence gaps"),
 		WireDups: reg.Counter("vapro_wire_dups_total", "wire",
 			"duplicate batches suppressed by sequence tracking"),
-		WireClientDrops: reg.Counter("vapro_wire_client_drops_total", "wire",
-			"batches a legacy WireClient discarded after its sticky error"),
 		NetDials: reg.Counter("vapro_net_dials_total", "net",
 			"dial attempts by the resilient client (including failures)"),
 		NetConnects: reg.Counter("vapro_net_connects_total", "net",
@@ -220,22 +216,9 @@ func (p *Pool) registerDerived() {
 			}
 			return float64(p.met.IntakeBytes.Load()) / sec / float64(p.ranks)
 		})
-	registerCacheDerived(reg, p.an.Cache())
-}
-
-// registerMonitorDerived points the cluster-cache Func metrics at the
-// monitor's analyzer instead of the pool's: with a Monitor in front,
-// window analyses run on the monitor's cache and the pool's stays cold.
-// Re-registration replaces the pool's entries (last writer wins).
-func (m *Monitor) registerMonitorDerived() {
-	registerCacheDerived(m.pool.met.Registry, m.analyzer.Cache())
-}
-
-// registerCacheDerived publishes one clustering cache's counters as
-// Func metrics. Both the pool and the monitor call it (last writer
-// wins), so the published values always describe the cache window
-// analyses actually run on.
-func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
+	// The pool's clustering cache is where window analyses run, whether
+	// or not a Monitor fronts the pool.
+	cache := p.an.Cache()
 	reg.Func("vapro_cluster_cache_hits", "cluster",
 		"analysis passes that reused a memoized clustering", func() float64 {
 			h, _ := cache.Stats()

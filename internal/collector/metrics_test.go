@@ -101,7 +101,9 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 }
 
 // Monitor.CacheStats (and the registry snapshot) must be safe while
-// windows are being analyzed concurrently — run under -race in CI.
+// windows are being analyzed concurrently, and so must pool queries,
+// which share the analyzer the monitor's windows run on — run under
+// -race in CI.
 func TestMonitorCacheStatsConcurrent(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Period = 5 * sim.Millisecond
@@ -116,7 +118,7 @@ func TestMonitorCacheStatsConcurrent(t *testing.T) {
 
 	done := make(chan struct{})
 	var probes sync.WaitGroup
-	probes.Add(2)
+	probes.Add(3)
 	go func() {
 		defer probes.Done()
 		for {
@@ -136,6 +138,17 @@ func TestMonitorCacheStatsConcurrent(t *testing.T) {
 				return
 			default:
 				mon.Metrics().Registry.Snapshot()
+			}
+		}
+	}()
+	go func() {
+		defer probes.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				pool.WindowResults()
 			}
 		}
 	}()
@@ -159,11 +172,11 @@ func TestMonitorCacheStatsConcurrent(t *testing.T) {
 	if hits+misses == 0 {
 		t.Fatal("windows ran but the cache counters are zero")
 	}
-	// With a monitor in front, the cache Func metrics follow the
-	// monitor's analyzer, not the pool's cold one.
+	// The cache Func metrics and CacheStats read the same cache: the
+	// pool's, where the monitor's windows run.
 	snap := mon.Metrics().Registry.Snapshot()
 	if got := snap.Get("vapro_cluster_cache_misses").Value; got != float64(misses) {
-		t.Fatalf("registry cache misses %v, want %d (monitor's analyzer)", got, misses)
+		t.Fatalf("registry cache misses %v, want %d (pool's analyzer)", got, misses)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"vapro/internal/cluster"
 	"vapro/internal/detect"
 	"vapro/internal/diagnose"
+	"vapro/internal/interpose"
 	"vapro/internal/sim"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
@@ -20,6 +21,10 @@ import (
 // diagnosis stage needs. This is the deployment mode of the real tool;
 // the whole-run analysis in core.RunTraced is the offline equivalent.
 //
+// The monitor keeps no fragments of its own: windows run over the
+// pool's merged view with the pool's persistent analyzer, exactly like
+// Pool.RunWindow, so every fragment is resident once.
+//
 // Wrap it around a Pool as the interpose.Sink:
 //
 //	pool := collector.NewPool(ranks, copt)
@@ -27,30 +32,13 @@ import (
 //	... use mon as the sink for traced ranks ...
 //	events := mon.Drain()
 type Monitor struct {
+	*windowLoop
 	pool *Pool
-	opt  MonitorOptions
-
-	mu sync.Mutex
-	// graph is the monitor's own incrementally merged STG: batches are
-	// appended as they arrive, so a window analysis starts from the
-	// current graph in O(1) instead of re-merging every server's graph
-	// (the old per-window O(total fragments) rebuild).
-	graph *stg.Graph
-	// analyzer memoizes per-element clusterings across windows; only
-	// elements that grew since the previous window are re-clustered.
-	analyzer *detect.Analyzer
-	// watermark is the minimum completed virtual time across ranks —
-	// a window is analyzable once every rank has advanced past its
-	// end.
-	rankHigh  map[int]sim.Time
-	nextStart sim.Time
-	events    []Event
-	stage     int
 
 	// olsStreams holds each edge's warm per-cluster regression moments
-	// (see monitor_ols.go), maintained by the analyzer's cluster-delta
-	// hook. Guarded by olsMu, NOT m.mu: the hook fires from the window
-	// analysis's worker pool while analyzeWindowLocked holds m.mu.
+	// (see monitor_ols.go), maintained by the pool analyzer's
+	// cluster-delta hook. Guarded by olsMu, NOT m.mu: the hook fires
+	// from the window analysis's worker pool while the loop holds m.mu.
 	olsMu      sync.Mutex
 	olsStreams map[cluster.Key]*elemMoments
 	olsFactors []diagnose.Factor
@@ -109,36 +97,16 @@ type Event struct {
 	Stage int
 }
 
-// NewMonitor wraps pool with an online analysis loop.
+// NewMonitor wraps pool with an online analysis loop. Windows analyze
+// MonitorOptions.Ranks ranks with MonitorOptions.Detect.
 func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
-	if opt.Ranks <= 0 {
-		opt.Ranks = pool.ranks
-	}
-	if opt.Period <= 0 {
-		opt.Period = 15 * sim.Second
-	}
-	if opt.Overlap <= 0 || opt.Overlap >= opt.Period {
-		opt.Overlap = opt.Period / 2
-	}
-	if opt.MaxStage <= 0 {
-		opt.MaxStage = 3
-	}
 	m := &Monitor{
 		pool:       pool,
-		opt:        opt,
-		graph:      stg.New(),
-		analyzer:   detect.NewAnalyzer(),
-		rankHigh:   make(map[int]sim.Time),
-		stage:      1,
 		olsStreams: make(map[cluster.Key]*elemMoments),
-		olsFactors: olsFactorsFor(opt.MaxStage),
 	}
-	// The monitor's analyzer is where windows actually run with a
-	// monitor in front: point the detect instrumentation and the
-	// cache-derived metrics at it (replacing the pool's registrations).
-	m.analyzer.SetMetrics(pool.met.Detect)
-	m.analyzer.SetClusterDeltaHook(m.observeClustering)
-	m.registerMonitorDerived()
+	m.windowLoop = newWindowLoop(opt, pool.ranks, pool.Armed, m.analyzeWindow)
+	m.olsFactors = olsFactorsFor(m.opt.MaxStage)
+	pool.an.SetClusterDeltaHook(m.observeClustering)
 	return m
 }
 
@@ -154,9 +122,8 @@ func (m *Monitor) SeqState() *SeqTracker { return m.pool.seq }
 // Monitor sink journals exactly what it delivers.
 func (m *Monitor) Journal() *wal.Log { return m.pool.Journal() }
 
-// Consume implements interpose.Sink: forward to the pool, append to the
-// monitor's merged graph, advance the rank watermark, and analyze any
-// window every rank has passed.
+// Consume implements interpose.Sink: forward to the pool, advance the
+// rank watermark, and analyze any window every rank has passed.
 func (m *Monitor) Consume(rank int, frags []trace.Fragment) {
 	m.pool.Consume(rank, frags)
 	m.observe(rank, frags)
@@ -178,147 +145,28 @@ func (m *Monitor) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc 
 	m.observe(rank, frags)
 }
 
-// observe is the monitor's own half of consumption: merge, advance the
-// watermark, analyze completed windows.
-func (m *Monitor) observe(rank int, frags []trace.Fragment) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.graph.AddBatch(frags)
-	high := m.rankHigh[rank]
-	for i := range frags {
-		if e := sim.Time(frags[i].Start + frags[i].Elapsed); e > high {
-			high = e
-		}
-	}
-	m.rankHigh[rank] = high
-	m.analyzeReady()
-}
-
-// watermarkLocked returns the minimum high-water mark across all ranks
-// seen so far (0 until every rank has reported at least once).
-func (m *Monitor) watermarkLocked() sim.Time {
-	if len(m.rankHigh) < m.opt.Ranks {
-		return 0
-	}
-	var min sim.Time = 1 << 62
-	for _, t := range m.rankHigh {
-		if t < min {
-			min = t
-		}
-	}
-	return min
-}
-
-// analyzeReady runs the analysis for every window whose end the
-// watermark has passed. Caller holds m.mu.
-func (m *Monitor) analyzeReady() {
-	stride := m.opt.Period - m.opt.Overlap
-	for {
-		end := m.nextStart.Add(m.opt.Period)
-		if m.watermarkLocked() < end {
-			return
-		}
-		m.analyzeWindowLocked(m.nextStart, end)
-		m.nextStart = m.nextStart.Add(stride)
-	}
-}
-
-func (m *Monitor) analyzeWindowLocked(start, end sim.Time) {
-	// Clustering is memoized per element across the overlapped windows
-	// (and normalization uses each element's full population, so the
-	// per-window reference performance is the best fragment seen so
-	// far, not just the window's best); the window only filters which
-	// samples feed the heat map.
+// analyzeWindow runs one window through the pool's own path (drain,
+// view refresh, persistent analyzer). Clustering is memoized per
+// element across the overlapped windows, and normalization uses each
+// element's full population, so the per-window reference performance
+// is the best fragment seen so far, not just the window's best; the
+// window only filters which samples feed the heat map.
+func (m *Monitor) analyzeWindow(start, end int64) *detect.Result {
 	dopt := m.opt.Detect
 	dopt.Outages = m.pool.seq.Outages()
-	res := m.analyzer.RunWindow(m.graph, m.opt.Ranks, dopt, int64(start), int64(end))
-	// Journeys drained before this tick are now visible to analysis.
-	m.pool.met.Trace.CompleteAnalyze()
-	classOK := func(c detect.Class) bool {
-		if len(m.opt.Classes) == 0 {
-			return true
-		}
-		for _, want := range m.opt.Classes {
-			if c == want {
-				return true
-			}
-		}
-		return false
-	}
-	var regions []detect.Region
-	for _, reg := range res.Regions {
-		if classOK(reg.Class) && sim.Duration(reg.LossNS) >= m.opt.MinRegionLoss {
-			regions = append(regions, reg)
-		}
-	}
-	if len(regions) == 0 {
-		return
-	}
-	// Variance in this window: escalate one diagnosis stage by arming
-	// the next counter groups, so the following windows carry the data
-	// the finer factors need (§4.3's one-period-per-stage trade-off).
-	if m.stage < m.opt.MaxStage {
-		m.stage++
-		armed := m.pool.Armed.Get()
-		switch m.stage {
-		case 2:
-			armed |= sim.GroupBackend
-		default:
-			armed |= sim.GroupMemory | sim.GroupExtra
-		}
-		m.pool.Armed.Set(armed)
-	}
-	m.events = append(m.events, Event{
-		WindowStart: start,
-		WindowEnd:   end,
-		Regions:     regions,
-		ArmedAfter:  m.pool.Armed.Get(),
-		Stage:       m.stage,
-	})
+	return m.pool.runWindowWith(start, end, m.opt.Ranks, dopt)
 }
 
-// Flush analyzes any remaining partial window at the end of the run.
-func (m *Monitor) Flush() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var max sim.Time
-	for _, t := range m.rankHigh {
-		if t > max {
-			max = t
-		}
-	}
-	for m.nextStart < max {
-		m.analyzeWindowLocked(m.nextStart, m.nextStart.Add(m.opt.Period))
-		m.nextStart = m.nextStart.Add(m.opt.Period - m.opt.Overlap)
-	}
-}
-
-// Drain returns the events recorded so far and clears the queue.
-func (m *Monitor) Drain() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.events
-	m.events = nil
-	return out
-}
-
-// Stage returns the current progressive stage (1 until variance is
-// first detected).
-func (m *Monitor) Stage() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stage
-}
-
-// CacheStats reports the hit/miss counters of the monitor's memoized
-// clustering layer: hits are window analyses that reused a previous
-// window's clustering of an element that did not grow in between.
+// CacheStats reports the hit/miss counters of the pool's memoized
+// clustering layer, where the monitor's windows run: hits are window
+// analyses that reused a previous window's clustering of an element
+// that did not grow in between.
 func (m *Monitor) CacheStats() (hits, misses uint64) {
-	return m.analyzer.Cache().Stats()
+	return m.pool.an.Cache().Stats()
 }
 
 // DiagnoseEvent runs the progressive diagnosis for an online event's
-// top region against the monitor's accumulated data. Fragments are
+// top region against everything the pool has received. Fragments are
 // clustered per edge (reusing the clusterings the window analyses
 // already memoized) so only comparable fixed-workload populations
 // are differenced — mixing workload classes would misattribute their
@@ -329,20 +177,14 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p := m.pool
+	p.drainAll()
+	p.amu.Lock()
+	defer p.amu.Unlock()
+	edges := m.eventEdgesLocked(ev)
 	var clusters [][]trace.Fragment
-	var edges []*stg.Edge
-	seen := map[trace.EdgeKey]bool{}
-	for _, s := range ev.Regions[0].Samples {
-		if !s.ClusterRef.IsEdge || seen[s.ClusterRef.Edge] {
-			continue
-		}
-		seen[s.ClusterRef.Edge] = true
-		e := m.graph.Edge(s.ClusterRef.Edge)
-		if e == nil {
-			continue
-		}
-		edges = append(edges, e)
-		cl := m.analyzer.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, m.opt.Detect.Cluster)
+	for _, e := range edges {
+		cl := p.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, m.opt.Detect.Cluster)
 		for ci := range cl.Clusters {
 			if !cl.Clusters[ci].Fixed {
 				continue
@@ -362,4 +204,192 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 		opt.Quantifier = q
 	}
 	return diagnose.New(opt).Run(diagnose.SliceSource(clusters))
+}
+
+// eventEdgesLocked folds every drained batch into the pool's view and
+// returns the view edges the event's top region samples, in first-seen
+// order. Caller holds m.mu and p.amu and has drained the servers.
+func (m *Monitor) eventEdgesLocked(ev *Event) []*stg.Edge {
+	g := m.pool.refreshView()
+	var edges []*stg.Edge
+	seen := map[trace.EdgeKey]bool{}
+	for _, s := range ev.Regions[0].Samples {
+		if !s.ClusterRef.IsEdge || seen[s.ClusterRef.Edge] {
+			continue
+		}
+		seen[s.ClusterRef.Edge] = true
+		if e := g.Edge(s.ClusterRef.Edge); e != nil {
+			edges = append(edges, e)
+		}
+	}
+	return edges
+}
+
+// windowLoop is the online windowing both monitors share: the per-rank
+// virtual-time high-water marks, the window grid, the event filters and
+// the progressive counter arming. Each monitor supplies only its own
+// analysis of a window [start, end) and the arming handle it widens.
+type windowLoop struct {
+	opt     MonitorOptions
+	armed   *interpose.Armed
+	analyze func(start, end int64) *detect.Result
+
+	mu sync.Mutex
+	// rankHigh is each rank's completed virtual time; the watermark is
+	// their minimum — a window is analyzable once every rank has
+	// advanced past its end.
+	rankHigh  map[int]sim.Time
+	nextStart sim.Time
+	events    []Event
+	stage     int
+}
+
+// newWindowLoop applies the MonitorOptions defaults (ranks is the
+// wrapped plane's provisioned rank count) and starts at stage 1.
+func newWindowLoop(opt MonitorOptions, ranks int, armed *interpose.Armed, analyze func(start, end int64) *detect.Result) *windowLoop {
+	if opt.Ranks <= 0 {
+		opt.Ranks = ranks
+	}
+	if opt.Period <= 0 {
+		opt.Period = 15 * sim.Second
+	}
+	if opt.Overlap <= 0 || opt.Overlap >= opt.Period {
+		opt.Overlap = opt.Period / 2
+	}
+	if opt.MaxStage <= 0 {
+		opt.MaxStage = 3
+	}
+	return &windowLoop{
+		opt:      opt,
+		armed:    armed,
+		analyze:  analyze,
+		rankHigh: make(map[int]sim.Time),
+		stage:    1,
+	}
+}
+
+// observe advances rank's watermark past frags and analyzes every
+// window the global watermark has completed.
+func (l *windowLoop) observe(rank int, frags []trace.Fragment) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	high := l.rankHigh[rank]
+	for i := range frags {
+		if e := sim.Time(frags[i].Start + frags[i].Elapsed); e > high {
+			high = e
+		}
+	}
+	l.rankHigh[rank] = high
+	l.analyzeReady()
+}
+
+// watermarkLocked returns the minimum high-water mark across all ranks
+// seen so far (0 until every rank has reported at least once).
+func (l *windowLoop) watermarkLocked() sim.Time {
+	if len(l.rankHigh) < l.opt.Ranks {
+		return 0
+	}
+	var min sim.Time = 1 << 62
+	for _, t := range l.rankHigh {
+		if t < min {
+			min = t
+		}
+	}
+	return min
+}
+
+// analyzeReady runs the analysis for every window whose end the
+// watermark has passed. Caller holds l.mu.
+func (l *windowLoop) analyzeReady() {
+	stride := l.opt.Period - l.opt.Overlap
+	for {
+		end := l.nextStart.Add(l.opt.Period)
+		if l.watermarkLocked() < end {
+			return
+		}
+		l.windowLocked(l.nextStart, end)
+		l.nextStart = l.nextStart.Add(stride)
+	}
+}
+
+// windowLocked analyzes [start, end) and, when regions of a selected
+// class lost at least MinRegionLoss, records an event and escalates one
+// diagnosis stage. Caller holds l.mu.
+func (l *windowLoop) windowLocked(start, end sim.Time) {
+	res := l.analyze(int64(start), int64(end))
+	var regions []detect.Region
+	for _, reg := range res.Regions {
+		if l.classOK(reg.Class) && sim.Duration(reg.LossNS) >= l.opt.MinRegionLoss {
+			regions = append(regions, reg)
+		}
+	}
+	if len(regions) == 0 {
+		return
+	}
+	// Variance in this window: escalate one diagnosis stage by arming
+	// the next counter groups, so the following windows carry the data
+	// the finer factors need (§4.3's one-period-per-stage trade-off).
+	if l.stage < l.opt.MaxStage {
+		l.stage++
+		armed := l.armed.Get()
+		switch l.stage {
+		case 2:
+			armed |= sim.GroupBackend
+		default:
+			armed |= sim.GroupMemory | sim.GroupExtra
+		}
+		l.armed.Set(armed)
+	}
+	l.events = append(l.events, Event{
+		WindowStart: start,
+		WindowEnd:   end,
+		Regions:     regions,
+		ArmedAfter:  l.armed.Get(),
+		Stage:       l.stage,
+	})
+}
+
+func (l *windowLoop) classOK(c detect.Class) bool {
+	if len(l.opt.Classes) == 0 {
+		return true
+	}
+	for _, want := range l.opt.Classes {
+		if c == want {
+			return true
+		}
+	}
+	return false
+}
+
+// Flush analyzes any remaining partial window at the end of the run.
+func (l *windowLoop) Flush() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var max sim.Time
+	for _, t := range l.rankHigh {
+		if t > max {
+			max = t
+		}
+	}
+	for l.nextStart < max {
+		l.windowLocked(l.nextStart, l.nextStart.Add(l.opt.Period))
+		l.nextStart = l.nextStart.Add(l.opt.Period - l.opt.Overlap)
+	}
+}
+
+// Drain returns the events recorded so far and clears the queue.
+func (l *windowLoop) Drain() []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.events
+	l.events = nil
+	return out
+}
+
+// Stage returns the current progressive stage (1 until variance is
+// first detected).
+func (l *windowLoop) Stage() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stage
 }

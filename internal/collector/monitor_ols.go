@@ -154,7 +154,7 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags []trace.Fragment, res cl
 // moments of the given edges, or nil when the streaming plane cannot
 // serve this diagnosis (hatch on, a stream missing or at a stale
 // generation) — the caller then leaves the default batch QuantifyOLS in
-// place. Caller holds m.mu; edges must come from the monitor's graph so
+// place. Caller holds m.mu; edges must come from the pool's view so
 // their Gen fields describe the populations the diagnosis will walk.
 func (m *Monitor) streamQuantifier(edges []*stg.Edge) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
 	if m.opt.DisableStreamingOLS {

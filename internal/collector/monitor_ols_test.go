@@ -65,24 +65,16 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 	m.Flush()
 }
 
-// eventEdges replicates DiagnoseEvent's edge collection so the test can
-// verify the streaming quantifier actually serves the event (rather
-// than silently falling back to the batch path).
+// eventEdges collects DiagnoseEvent's edges from the pool's view so
+// the test can verify the streaming quantifier actually serves the
+// event (rather than silently falling back to the batch path).
 func eventEdges(m *Monitor, ev *Event) []*stg.Edge {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var edges []*stg.Edge
-	seen := map[trace.EdgeKey]bool{}
-	for _, s := range ev.Regions[0].Samples {
-		if !s.ClusterRef.IsEdge || seen[s.ClusterRef.Edge] {
-			continue
-		}
-		seen[s.ClusterRef.Edge] = true
-		if e := m.graph.Edge(s.ClusterRef.Edge); e != nil {
-			edges = append(edges, e)
-		}
-	}
-	return edges
+	m.pool.drainAll()
+	m.pool.amu.Lock()
+	defer m.pool.amu.Unlock()
+	return m.eventEdgesLocked(ev)
 }
 
 // TestMonitorStreamingOLSEquivalence pins the streaming §4.2 plane to

@@ -275,7 +275,9 @@ func (t *ShardedPool) RunWindowStats(start, end int64) (*detect.Result, detect.M
 		wg.Add(1)
 		go func(i int, p *Pool) {
 			defer wg.Done()
-			parts[i] = p.runWindowWith(start, end, outages)
+			dopt := p.opt.Detect
+			dopt.Outages = outages
+			parts[i] = p.runWindowWith(start, end, p.ranks, dopt)
 		}(i, p)
 	}
 	wg.Wait()

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +10,17 @@ import (
 	"vapro/internal/sim"
 	"vapro/internal/trace"
 )
+
+// writeV1Frame writes one version-1 frame: a uvarint payload length
+// followed by a trace.AppendBatch payload with no sequence number.
+func writeV1Frame(t testing.TB, w io.Writer, rank int, frags []trace.Fragment) {
+	t.Helper()
+	payload := trace.AppendBatch(nil, rank, frags)
+	frame := binary.AppendUvarint(nil, uint64(len(payload)))
+	if _, err := w.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestWireTransportRoundTrip(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -25,19 +37,12 @@ func TestWireTransportRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewWireClient(conn)
 		for i := 0; i < 5; i++ {
 			batch := []trace.Fragment{frag(rank, int64(i)*1000, 500)}
 			wantBytes += int64(trace.BatchWireSize(rank, batch))
-			c.Consume(rank, batch)
+			writeV1Frame(t, conn, rank, batch)
 		}
-		if c.Err() != nil {
-			t.Fatal(c.Err())
-		}
-		if c.BytesOut() == 0 {
-			t.Fatal("nothing written")
-		}
-		c.Close()
+		conn.Close()
 	}
 
 	// Wait for the server to drain.
@@ -115,9 +120,8 @@ func TestWireServerHostileFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewWireClient(conn3)
-	c.Consume(0, []trace.Fragment{frag(0, 0, 500)})
-	c.Close()
+	writeV1Frame(t, conn3, 0, []trace.Fragment{frag(0, 0, 500)})
+	conn3.Close()
 	waitUntil(5*time.Second, func() bool { return pool.FragmentCount() >= 1 })
 	srv.Close()
 	if got := pool.FragmentCount(); got != 1 {
@@ -149,18 +153,6 @@ func TestWireServerHostileFrame(t *testing.T) {
 	}
 }
 
-func TestWireClientStickyError(t *testing.T) {
-	conn, _ := net.Pipe()
-	conn.Close()
-	c := NewWireClient(conn)
-	c.Consume(0, []trace.Fragment{frag(0, 0, 1)})
-	if c.Err() == nil {
-		t.Fatal("write to closed pipe must error")
-	}
-	// Further writes are swallowed, not panics.
-	c.Consume(0, []trace.Fragment{frag(0, 0, 1)})
-}
-
 func TestWireFragmentFidelity(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -176,10 +168,12 @@ func TestWireFragmentFidelity(t *testing.T) {
 		Args:     trace.Args{Op: trace.Op("Send"), Bytes: 1024, Peer: 3, Tag: 5},
 		Static:   true, Truth: 99,
 	}
-	conn, _ := net.Dial("tcp", ln.Addr().String())
-	c := NewWireClient(conn)
-	c.Consume(0, []trace.Fragment{want})
-	c.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeV1Frame(t, conn, 0, []trace.Fragment{want})
+	conn.Close()
 
 	waitUntil(5*time.Second, func() bool { return pool.FragmentCount() >= 1 })
 	srv.Close()

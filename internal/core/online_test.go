@@ -90,6 +90,33 @@ func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunOnlineRecordRoundTrip: an online run with Record keeps the raw
+// stream the monitor saw, and the saved recording reloads with the
+// same fragments.
+func TestRunOnlineRecordRoundTrip(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Ranks = 8
+	opt.Record = true
+	opt.Collector.Period = 200 * sim.Millisecond
+	opt.Collector.Overlap = 100 * sim.Millisecond
+	opt.Collector.Detect.Window = 50 * sim.Millisecond
+	res := RunOnline(apps.NewCG(10), opt)
+	if res.Recording == nil {
+		t.Fatal("Record option produced no recording")
+	}
+	var buf bytes.Buffer
+	if err := res.SaveRecording(&buf); err != nil {
+		t.Fatal(err)
+	}
+	re, err := AnalyzeRecording(&buf, opt.Collector.Detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Graph.NumFragments(); n == 0 || re.Graph.NumFragments() != n {
+		t.Fatalf("fragments: %d reloaded vs %d online", re.Graph.NumFragments(), n)
+	}
+}
+
 func TestSaveRecordingWithoutRecord(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ranks = 4

@@ -271,6 +271,12 @@ func RunOnline(app apps.App, opt Options) *OnlineResult {
 	mopt.Overlap = opt.Collector.Overlap
 	mopt.Detect = opt.Collector.Detect
 	mon := collector.NewMonitor(pool, mopt)
+	var sink interpose.Sink = mon
+	var recorder *collector.RecordingSink
+	if opt.Record {
+		recorder = collector.NewRecordingSink(mon)
+		sink = recorder
+	}
 	cfg := rt.Config{FS: fs, BufferedIO: opt.BufferedIO}
 
 	res := &Result{
@@ -281,7 +287,7 @@ func RunOnline(app apps.App, opt Options) *OnlineResult {
 	}
 	var mu sync.Mutex
 	times := world.Run(func(r *mpi.Rank) {
-		tr := interpose.NewTraced(r, cfg, opt.Interpose, mon, pool.Armed)
+		tr := interpose.NewTraced(r, cfg, opt.Interpose, sink, pool.Armed)
 		tr.SetMetrics(pool.Metrics().Client)
 		app.Run(tr)
 		tr.Flush()
@@ -305,6 +311,9 @@ func RunOnline(app apps.App, opt Options) *OnlineResult {
 	}
 	res.analyzer = detect.NewAnalyzer()
 	res.Detection = res.analyzer.Run(res.Graph, ranks, opt.Collector.Detect)
+	if recorder != nil {
+		res.Recording = recorder.Recording(ranks, int64(res.Makespan), res.SiteNames)
+	}
 	return &OnlineResult{Result: res, Monitor: mon, Events: mon.Drain()}
 }
 

@@ -29,7 +29,8 @@ go test -race -count=2 -timeout 120s \
 	-run 'TestChaosSoakServerRestarts|TestChaosShardServerKillRestart|TestChaosSoakJournalCrashReplay' \
 	./internal/collector
 # Equivalence fuzz: the sharded tier's merged analysis must stay
-# bit-identical to unsharded references across 100 scripted delivery
+# bit-identical to shard-restricted references (a plain pool fed only
+# the owning shard's deliveries) across 100 scripted delivery
 # schedules × shard counts {1,2,4,8}, raced.
 go test -race -count=1 -timeout 120s -run 'TestShardedEquivalenceFuzz' \
 	./internal/collector
@@ -279,3 +280,16 @@ grep -Fq 'replayed 64 frame(s)' /tmp/vapro-analyze.out
 /tmp/vapro-check analyze -journal "$JDIR" -json |
 	grep -q '"replayed_frames": 64'
 rm -rf "$JDIR" "$WDIR"
+
+# Online recording smoke: an online run with -record must persist the
+# stream its monitor saw, and the offline re-analysis must count the
+# same fragments, class by class.
+ONLINE_REC=/tmp/vapro-check-online.vrec
+rm -f "$ONLINE_REC"
+/tmp/vapro-check -app CG -ranks 16 -online -record "$ONLINE_REC" >/tmp/vapro-online.out
+go run ./cmd/vaproanalyze "$ONLINE_REC" >/tmp/vapro-online-analyze.out
+FRAGS_RE='[0-9]* fragments ([0-9]* comp, [0-9]* comm, [0-9]* io)'
+ONLINE_FRAGS=$(grep -o "$FRAGS_RE" /tmp/vapro-online.out)
+ANALYZED_FRAGS=$(grep -o "$FRAGS_RE" /tmp/vapro-online-analyze.out)
+[ -n "$ONLINE_FRAGS" ] && [ "$ONLINE_FRAGS" = "$ANALYZED_FRAGS" ]
+rm -f "$ONLINE_REC"
