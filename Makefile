@@ -28,7 +28,7 @@ perfbench-test:
 	cd perfbench && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mpi ./internal/collector ./internal/core ./internal/interpose ./internal/detect ./internal/cluster ./internal/obs ./internal/faults ./internal/wal
+	$(GO) test -race ./internal/mpi ./internal/collector ./internal/core ./internal/interpose ./internal/detect ./internal/cluster ./internal/obs ./internal/faults ./internal/wal ./internal/stg
 
 # The fault-tolerance soaks: kill/restart the wire server 5x under
 # multi-rank load (single server), kill/restart one shard server of 8

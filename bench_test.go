@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -249,7 +250,7 @@ func synthFrags(n int) []trace.Fragment {
 // path): the 1-D TOT_INS fast path plus pooled scratch should keep the
 // per-call allocations near-constant regardless of fragment count.
 func BenchmarkClusterRun(b *testing.B) {
-	frags := synthFrags(100_000)
+	frags := stg.LogOf(synthFrags(100_000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,7 +261,7 @@ func BenchmarkClusterRun(b *testing.B) {
 // A warm cluster cache must serve repeated analyses of an unchanged
 // element with near-zero allocations.
 func BenchmarkClusterRunCached(b *testing.B) {
-	frags := synthFrags(100_000)
+	frags := stg.LogOf(synthFrags(100_000))
 	c := cluster.NewCache()
 	key := cluster.EdgeKey(trace.EdgeKey{From: 1, To: 2})
 	c.Run(key, stg.Gen{Count: 1}, frags, cluster.DefaultOptions())
@@ -322,12 +323,12 @@ func BenchmarkDetectRunParallel8(b *testing.B) { benchDetectRunParallel(b, 8) }
 // Algorithm 1 must stay (near-)linear: this bench documents its
 // throughput on a million fragments.
 func BenchmarkClusterMillionFragments(b *testing.B) {
-	frags := synthFrags(1_000_000)
+	frags := stg.LogOf(synthFrags(1_000_000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cluster.Run(frags, cluster.DefaultOptions())
 	}
-	b.ReportMetric(float64(len(frags)), "fragments")
+	b.ReportMetric(float64(frags.Len()), "fragments")
 }
 
 func BenchmarkOLSQuantify(b *testing.B) {
@@ -430,10 +431,12 @@ func ingestWorkload(clients, total, edges, batch int, spanNS int64) []collector.
 
 // BenchmarkPoolIngest pushes 256 clients × 1M fragments through
 // Pool.Consume from a single feeder and drains to the server graphs:
-// the server-side intake hot path.
+// the server-side intake hot path. B/frag is the bytes it allocates
+// per ingested fragment.
 func BenchmarkPoolIngest(b *testing.B) {
 	batches := ingestWorkload(256, 1_000_000, 32, 256, int64(50*sim.Second))
 	b.ResetTimer()
+	defer reportAllocPerFrag(b)()
 	for i := 0; i < b.N; i++ {
 		p := collector.NewPool(256, collector.DefaultOptions())
 		for _, bt := range batches {
@@ -449,6 +452,18 @@ func BenchmarkPoolIngest(b *testing.B) {
 // per rank (1M/256 ranks = 3906 each).
 const benchIngestTotal = 1_000_000 / 256 * 256
 
+// reportAllocPerFrag starts counting allocated bytes; the returned stop
+// reports them per iteration and ingested fragment as B/frag.
+func reportAllocPerFrag(b *testing.B) (stop func()) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	return func() {
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N)/benchIngestTotal, "B/frag")
+	}
+}
+
 // BenchmarkPoolIngestParallel8 feeds the same stream from 8 concurrent
 // goroutines (disjoint rank sets), the contention shape of hundreds of
 // clients hitting one server shard.
@@ -456,6 +471,7 @@ func BenchmarkPoolIngestParallel8(b *testing.B) {
 	batches := ingestWorkload(256, 1_000_000, 32, 256, int64(50*sim.Second))
 	const feeders = 8
 	b.ResetTimer()
+	defer reportAllocPerFrag(b)()
 	for i := 0; i < b.N; i++ {
 		p := collector.NewPool(256, collector.DefaultOptions())
 		var wg sync.WaitGroup

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sync"
 
+	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
 
@@ -214,7 +215,7 @@ type Result struct {
 
 // Run clusters the fragments with Algorithm 1. The input order is
 // irrelevant to the result (fragments are sorted by norm internally).
-func Run(frags []trace.Fragment, opt Options) Result {
+func Run(frags stg.Log, opt Options) Result {
 	res, _ := runCapture(frags, opt, false)
 	return res
 }
@@ -223,9 +224,9 @@ func Run(frags []trace.Fragment, opt Options) Result {
 // (norm-sorted order, norms, per-fragment vectors for multi-D, cluster
 // seed positions) straight out of the working set, so the cache does
 // not pay a second sort or re-vectorization to seed the delta path.
-func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *incState) {
+func runCapture(frags stg.Log, opt Options, capture bool) (Result, *incState) {
 	opt = opt.normalized()
-	n := len(frags)
+	n := frags.Len()
 	res := Result{Assign: make([]int, n)}
 	for i := range res.Assign {
 		res.Assign[i] = -1
@@ -248,24 +249,24 @@ func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *inc
 	// on the norms array with no per-fragment vector at all, and the
 	// distance is |a−b| (exactly what Dist computes in 1-D).
 	oneD := !opt.UseExtraMetrics
-	for i := range frags {
-		if frags[i].Kind != trace.Comp {
+	for i := 0; i < n; i++ {
+		if frags.At(i).Kind != trace.Comp {
 			oneD = false
 			break
 		}
 	}
 	var vecs []Vector
 	if oneD {
-		for i := range frags {
-			norms[i] = float64(frags[i].Counters.TotIns)
+		for i := 0; i < n; i++ {
+			norms[i] = float64(frags.At(i).Counters.TotIns)
 			order[i] = i
 		}
 	} else {
 		// One flat backing array for all vectors: n small slices become
 		// a single allocation (amortized to zero via the scratch pool).
 		dims := 0
-		for i := range frags {
-			dims += vectorDims(&frags[i], opt)
+		for i := 0; i < n; i++ {
+			dims += vectorDims(frags.At(i), opt)
 		}
 		if cap(sc.vecs) < n {
 			sc.vecs = make([]Vector, n)
@@ -275,9 +276,9 @@ func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *inc
 		}
 		vecs = sc.vecs[:n]
 		flat := sc.flat[:0]
-		for i := range frags {
+		for i := 0; i < n; i++ {
 			lo := len(flat)
-			flat = appendVector(flat, &frags[i], opt)
+			flat = appendVector(flat, frags.At(i), opt)
 			vecs[i] = Vector(flat[lo:len(flat):len(flat)])
 			norms[i] = vecs[i].Norm()
 			order[i] = i
@@ -361,8 +362,8 @@ func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *inc
 			st.flat = append([]float64(nil), sc.flat...)
 			st.voff = make([]int32, n+1)
 			off := int32(0)
-			for i := range frags {
-				off += int32(vectorDims(&frags[i], opt))
+			for i := 0; i < n; i++ {
+				off += int32(vectorDims(frags.At(i), opt))
 				st.voff[i+1] = off
 			}
 		}
@@ -373,13 +374,13 @@ func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *inc
 // FixedFraction returns the fraction of total elapsed time that falls in
 // fixed (large-enough) clusters — the per-edge contribution to detection
 // coverage (§6.2).
-func (r *Result) FixedFraction(frags []trace.Fragment) float64 {
+func (r *Result) FixedFraction(frags stg.Log) float64 {
 	var fixed, total int64
-	for i := range frags {
-		total += frags[i].Elapsed
+	for i := 0; i < frags.Len(); i++ {
+		total += frags.At(i).Elapsed
 		ci := r.Assign[i]
 		if ci >= 0 && r.Clusters[ci].Fixed {
-			fixed += frags[i].Elapsed
+			fixed += frags.At(i).Elapsed
 		}
 	}
 	if total == 0 {

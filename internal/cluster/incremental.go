@@ -213,30 +213,31 @@ func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 	return batch, inserted, ipos
 }
 
-// update advances the state with the appended suffix frags[s.n:] and
-// returns the new Result plus its Delta (Delta.From is filled by the
-// caller). ok=false means the state cannot advance incrementally — the
-// returned fallbackReason says why — and the caller must re-cluster
-// from scratch; the state is then stale and must be recaptured.
-func (s *incState) update(frags []trace.Fragment, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
-	k := len(frags) - s.n
+// update advances the state with the appended suffix (positions
+// [s.n, frags.Len())) and returns the new Result plus its Delta
+// (Delta.From is filled by the caller). ok=false means the state
+// cannot advance incrementally — the returned fallbackReason says why —
+// and the caller must re-cluster from scratch; the state is then stale
+// and must be recaptured.
+func (s *incState) update(frags stg.Log, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
+	k := frags.Len() - s.n
 	if s.dead || k <= 0 {
 		return Result{}, Delta{}, false, fbMultiD
 	}
 	if s.multiD {
 		return s.updateMultiD(frags, prev, opt)
 	}
-	for i := s.n; i < len(frags); i++ {
-		if frags[i].Kind != trace.Comp {
+	total := frags.Len()
+	for i := s.n; i < total; i++ {
+		if frags.At(i).Kind != trace.Comp {
 			// The element left the 1-D domain; the cached state has no
 			// vectors, so fall back once and recapture as multi-D.
 			s.dead = true
 			return Result{}, Delta{}, false, fbMultiD
 		}
 	}
-	total := len(frags)
 	for i := s.n; i < total; i++ {
-		s.norms = append(s.norms, float64(frags[i].Counters.TotIns))
+		s.norms = append(s.norms, float64(frags.At(i).Counters.TotIns))
 	}
 	norms := s.norms
 
@@ -525,15 +526,15 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 // cluster would steal a resident fragment from a later cluster the
 // partition is restructured beyond what a delta can express and the
 // advance falls back (fbMultiD).
-func (s *incState) updateMultiD(frags []trace.Fragment, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
+func (s *incState) updateMultiD(frags stg.Log, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
 	oldN := s.n
-	total := len(frags)
+	total := frags.Len()
 	k := total - oldN
 	// Vectorize the suffix into the cached flat backing (dimensionality
 	// varies per fragment kind; voff tracks offsets).
 	for i := oldN; i < total; i++ {
 		lo := len(s.flat)
-		s.flat = appendVector(s.flat, &frags[i], opt)
+		s.flat = appendVector(s.flat, frags.At(i), opt)
 		s.voff = append(s.voff, int32(len(s.flat)))
 		s.norms = append(s.norms, Vector(s.flat[lo:]).Norm())
 	}

@@ -30,14 +30,21 @@ func listenRetry(t *testing.T, addr string) net.Listener {
 	return nil
 }
 
+// logFragments copies a fragment log into a slice.
+func logFragments(l stg.Log) []trace.Fragment {
+	var out []trace.Fragment
+	l.Runs(0, l.Len(), func(_ int, run []trace.Fragment) { out = append(out, run...) })
+	return out
+}
+
 // allFragments flattens a graph into one slice.
 func allFragments(g *stg.Graph) []trace.Fragment {
 	var out []trace.Fragment
 	for _, e := range g.Edges() {
-		out = append(out, e.Fragments...)
+		out = append(out, logFragments(e.Fragments)...)
 	}
 	for _, v := range g.Vertices() {
-		out = append(out, v.Fragments...)
+		out = append(out, logFragments(v.Fragments)...)
 	}
 	return out
 }

@@ -212,18 +212,19 @@ func (p *Pool) FragmentCount() int {
 // unchanged pool refreshes in O(elements) version checks instead of
 // O(total fragments).
 //
-// Elements held by a single server hand the server's own (append-only)
-// slice to the view; PutEdgeLog/PutVertexLog keep the element's
-// generation epoch across the server's reallocations, which is what
-// lets the incremental clustering + prep planes stay warm. Elements
-// held by several servers keep a view-owned append log with a cursor
-// per server: a refresh appends each server's new suffix in fixed
-// server order (ExtendEdge/ExtendVertex), so the element's epoch stays
-// warm too — the old full re-concatenation bumped the epoch every
-// period and pushed every cross-server element back through the batch
-// plane. A rebase (full concat, epoch bump) happens only on the first
-// multi-server sighting, a server epoch change, a shrink, or the
-// DisableDeltaView hatch.
+// Elements held by a single server alias a snapshot of the server's own
+// append log: every refresh puts a longer snapshot of the same log,
+// which stg recognizes as an extension, so the element's generation
+// epoch survives the server's growth and the incremental clustering +
+// prep planes stay warm. Elements held by several servers keep a
+// view-owned append log with a cursor per server: a refresh appends
+// each server's new suffix in fixed server order
+// (ExtendEdge/ExtendVertex), so the element's epoch stays warm too — a
+// full re-concatenation would bump the epoch every period and push
+// every cross-server element back through the batch plane. A rebase
+// (full concat, epoch bump) happens only on the first multi-server
+// sighting, a server epoch change, a shrink, or the DisableDeltaView
+// hatch.
 type mergedView struct {
 	graph     *stg.Graph
 	edgeVer   map[trace.EdgeKey]uint64
@@ -244,13 +245,12 @@ func newMergedView() *mergedView {
 
 // viewElem is the per-element merge state: how much of each server's
 // append log is already in the view, and whether the view element's
-// backing array is view-owned. Extending in place is only legal on an
-// owned array — an element aliasing a server slice could otherwise
-// append into the server's spare capacity and clobber its log.
+// log is view-owned. Extending is only legal on an owned log — an
+// element aliasing a server snapshot is read-only.
 type viewElem struct {
 	cursors []int    // per server: fragments already folded into the view
 	epochs  []uint64 // per server: epoch those cursors were taken against
-	owned   bool     // view owns the backing array (multi-server log)
+	owned   bool     // view owns the log (multi-server element)
 }
 
 // viewAccum is one element's per-refresh snapshot across servers,
@@ -258,14 +258,15 @@ type viewElem struct {
 type viewAccum struct {
 	ver    uint64
 	kind   trace.Kind
-	parts  [][]trace.Fragment
+	parts  []stg.Log
 	epochs []uint64
 }
 
 // refreshView folds the servers' current graphs into the merged view.
-// Per-server fragment slices are snapshotted (length-bounded) under the
-// server lock; stg appends never mutate the snapshotted prefix, so the
-// merge can run without holding any server lock. Caller holds p.amu.
+// Per-server fragment logs are snapshotted under the server lock; a
+// snapshot reads race-free while the server keeps appending (see
+// stg.Log), so the merge can run without holding any server lock.
+// Caller holds p.amu.
 func (p *Pool) refreshView() *stg.Graph {
 	v := p.view
 	ns := len(p.servers)
@@ -276,11 +277,11 @@ func (p *Pool) refreshView() *stg.Graph {
 		for _, e := range s.graph.Edges() {
 			a := eacc[e.Key]
 			if a == nil {
-				a = &viewAccum{parts: make([][]trace.Fragment, ns), epochs: make([]uint64, ns)}
+				a = &viewAccum{parts: make([]stg.Log, ns), epochs: make([]uint64, ns)}
 				eacc[e.Key] = a
 			}
 			a.ver += e.Gen.Count
-			a.parts[si] = e.Fragments[:len(e.Fragments):len(e.Fragments)]
+			a.parts[si] = e.Fragments.Snapshot()
 			a.epochs[si] = e.Gen.Epoch
 		}
 		for _, vx := range s.graph.Vertices() {
@@ -289,11 +290,11 @@ func (p *Pool) refreshView() *stg.Graph {
 				// The first server holding the vertex decides its kind,
 				// matching a from-scratch merge (vertex kind comes from
 				// the first fragment added).
-				a = &viewAccum{kind: vx.Kind, parts: make([][]trace.Fragment, ns), epochs: make([]uint64, ns)}
+				a = &viewAccum{kind: vx.Kind, parts: make([]stg.Log, ns), epochs: make([]uint64, ns)}
 				vacc[vx.Key] = a
 			}
 			a.ver += vx.Gen.Count
-			a.parts[si] = vx.Fragments[:len(vx.Fragments):len(vx.Fragments)]
+			a.parts[si] = vx.Fragments.Snapshot()
 			a.epochs[si] = vx.Gen.Epoch
 		}
 		s.graph.EachName(v.graph.SetName)
@@ -304,8 +305,7 @@ func (p *Pool) refreshView() *stg.Graph {
 			continue
 		}
 		applyView(p.opt.DisableDeltaView, p.met, a, v.edgeElems, k,
-			func(frags []trace.Fragment) { v.graph.PutEdge(k, frags) },
-			func(frags []trace.Fragment) { v.graph.PutEdgeLog(k, frags) },
+			func(frags stg.Log) { v.graph.PutEdge(k, frags) },
 			func(frags []trace.Fragment) { v.graph.ExtendEdge(k, frags) },
 			func() { delete(v.edgeElems, k) })
 		v.edgeVer[k] = a.ver
@@ -315,8 +315,7 @@ func (p *Pool) refreshView() *stg.Graph {
 			continue
 		}
 		applyView(p.opt.DisableDeltaView, p.met, a, v.vertElems, k,
-			func(frags []trace.Fragment) { v.graph.PutVertex(k, a.kind, frags) },
-			func(frags []trace.Fragment) { v.graph.PutVertexLog(k, a.kind, frags) },
+			func(frags stg.Log) { v.graph.PutVertex(k, a.kind, frags) },
 			func(frags []trace.Fragment) { v.graph.ExtendVertex(k, a.kind, frags) },
 			func() { delete(v.vertElems, k) })
 		v.vertVer[k] = a.ver
@@ -326,10 +325,10 @@ func (p *Pool) refreshView() *stg.Graph {
 
 // applyView folds one changed element's snapshot into the view, choosing
 // between the aliased single-server log, the delta-append owned log,
-// and the full-concat rebase. put/putLog/extend close over the element
-// key; drop removes the element's merge state (hatch path).
+// and the full-concat rebase. put/extend close over the element key;
+// drop removes the element's merge state (hatch path).
 func applyView[K comparable](hatch bool, met *Metrics, a *viewAccum, elems map[K]*viewElem, k K,
-	put, putLog, extend func([]trace.Fragment), drop func()) {
+	put func(stg.Log), extend func([]trace.Fragment), drop func()) {
 	if hatch {
 		// Legacy path: full concatenation for every changed element. The
 		// merge state is dropped so a later re-enable rebases from
@@ -340,8 +339,8 @@ func applyView[K comparable](hatch bool, met *Metrics, a *viewAccum, elems map[K
 	}
 	holder := -1
 	holders := 0
-	for si, part := range a.parts {
-		if len(part) > 0 {
+	for si := range a.parts {
+		if a.parts[si].Len() > 0 {
 			holder = si
 			holders++
 		}
@@ -355,22 +354,21 @@ func applyView[K comparable](hatch bool, met *Metrics, a *viewAccum, elems map[K
 		elems[k] = elem
 	}
 	if holders == 1 {
-		// Single server: alias its append log. PutEdgeLog/PutVertexLog
-		// keep the view element's epoch across the server's slice
-		// reallocations (the caller-asserted logical prefix), so the
-		// analysis planes stay warm even at power-of-2 growth boundaries.
-		putLog(a.parts[holder])
+		// Single server: alias its log snapshot. A longer snapshot of
+		// the same log extends the previous one, so the view element
+		// keeps its epoch and the analysis planes stay warm.
+		put(a.parts[holder])
 		elem.owned = false
 		for si := range elem.cursors {
-			elem.cursors[si] = len(a.parts[si])
+			elem.cursors[si] = a.parts[si].Len()
 			elem.epochs[si] = a.epochs[si]
 		}
 		return
 	}
 	ok := elem.owned
 	if ok {
-		for si, part := range a.parts {
-			if elem.cursors[si] > len(part) || (elem.cursors[si] > 0 && elem.epochs[si] != a.epochs[si]) {
+		for si := range a.parts {
+			if elem.cursors[si] > a.parts[si].Len() || (elem.cursors[si] > 0 && elem.epochs[si] != a.epochs[si]) {
 				ok = false // a server rebased or shrank under the cursor
 				break
 			}
@@ -378,38 +376,36 @@ func applyView[K comparable](hatch bool, met *Metrics, a *viewAccum, elems map[K
 	}
 	if !ok {
 		// First multi-server sighting (or a server-side rebase): rebuild
-		// the view element as a fresh owned concat. PutEdge sees a
-		// non-prefix replacement and bumps the epoch — the one analysis
-		// pass after a rebase runs batch, then the log is warm again.
+		// the view element as a fresh owned concat. The put sees a log
+		// that does not extend the old one and bumps the epoch — the one
+		// analysis pass after a rebase runs batch, then the log is warm
+		// again.
 		put(viewConcat(a.parts))
 		elem.owned = true
 		for si := range elem.cursors {
-			elem.cursors[si] = len(a.parts[si])
+			elem.cursors[si] = a.parts[si].Len()
 			elem.epochs[si] = a.epochs[si]
 		}
 		met.ViewEpochRebases.Inc()
 		return
 	}
-	for si, part := range a.parts {
-		if d := part[elem.cursors[si]:]; len(d) > 0 {
-			extend(d)
-			elem.cursors[si] = len(part)
+	for si := range a.parts {
+		part := &a.parts[si]
+		if elem.cursors[si] < part.Len() {
+			part.Runs(elem.cursors[si], part.Len(), func(_ int, run []trace.Fragment) { extend(run) })
+			elem.cursors[si] = part.Len()
 			elem.epochs[si] = a.epochs[si]
 			met.ViewCursorAdvances.Inc()
 		}
 	}
 }
 
-// viewConcat concatenates the snapshotted parts into a fresh slice the
+// viewConcat concatenates the snapshotted parts into a fresh log the
 // view owns.
-func viewConcat(parts [][]trace.Fragment) []trace.Fragment {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]trace.Fragment, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
+func viewConcat(parts []stg.Log) stg.Log {
+	var out stg.Log
+	for i := range parts {
+		parts[i].Runs(0, parts[i].Len(), func(_ int, run []trace.Fragment) { out.Append(run...) })
 	}
 	return out
 }

@@ -3,8 +3,10 @@ package collector
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"vapro/internal/detect"
 	"vapro/internal/sim"
@@ -30,11 +32,9 @@ func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 	p.amu.Unlock()
 	assertViewMatchesMerge(t, p, g)
 	var maxEnd int64
-	collect := func(frags []trace.Fragment) {
-		for i := range frags {
-			if e := frags[i].Start + frags[i].Elapsed; e > maxEnd {
-				maxEnd = e
-			}
+	collect := func(frags stg.Log) {
+		for _, f := range logFragments(frags) {
+			maxEnd = max(maxEnd, f.Start+f.Elapsed)
 		}
 	}
 	for _, e := range g.Edges() {
@@ -55,15 +55,15 @@ func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 			return f.Start < end && f.Start+f.Elapsed > start
 		}
 		for _, e := range g.Edges() {
-			for i := range e.Fragments {
-				if keep(&e.Fragments[i]) {
+			for i := 0; i < e.Fragments.Len(); i++ {
+				if keep(e.Fragments.At(i)) {
 					return true
 				}
 			}
 		}
 		for _, v := range g.Vertices() {
-			for i := range v.Fragments {
-				if keep(&v.Fragments[i]) {
+			for i := 0; i < v.Fragments.Len(); i++ {
+				if keep(v.Fragments.At(i)) {
 					return true
 				}
 			}
@@ -95,7 +95,8 @@ func assertViewMatchesMerge(t *testing.T, p *Pool, g *stg.Graph) {
 		m.Merge(s.graph)
 		s.mu.Unlock()
 	}
-	sameMultiset := func(a, b []trace.Fragment) bool {
+	sameMultiset := func(la, lb stg.Log) bool {
+		a, b := logFragments(la), logFragments(lb)
 		if len(a) != len(b) {
 			return false
 		}
@@ -339,5 +340,51 @@ func TestIntakeBackpressure(t *testing.T) {
 	}
 	if n := p.FragmentCount(); n != 100 {
 		t.Fatalf("fragments: %d", n)
+	}
+}
+
+// TestPoolIngestAllocsPerFragment pins what the intake allocates per
+// ingested fragment: the staged copy of each batch plus the fragment's
+// one slot in its element log, never a log copied again as it grows.
+// The figure must also stay flat when the resident population grows
+// tenfold.
+func TestPoolIngestAllocsPerFragment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are not meaningful under the race detector")
+	}
+	const batch, edges, ranks = 8, 8, 64
+	perFrag := func(n int) float64 {
+		p := NewPool(ranks, DefaultOptions())
+		defer p.Close()
+		buf := make([]trace.Fragment, batch)
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < n; i += batch {
+			rank := i / batch % ranks
+			for j := range buf {
+				e := uint64((i + j) % edges)
+				buf[j] = trace.Fragment{Rank: rank, Kind: trace.Comp, From: e + 1, State: e + 2,
+					Start: int64(i + j), Elapsed: 1, Counters: trace.CountersView{TotIns: 1000}}
+			}
+			p.Consume(rank, buf)
+		}
+		if got := p.FragmentCount(); got != n {
+			t.Fatalf("ingested %d fragments, want %d", got, n)
+		}
+		runtime.ReadMemStats(&ms)
+		return float64(ms.TotalAlloc-before) / float64(n)
+	}
+	size := float64(unsafe.Sizeof(trace.Fragment{}))
+	small, large := perFrag(20_000), perFrag(200_000)
+	t.Logf("allocated per fragment: %.0f B at 20k, %.0f B at 200k (fragment %.0f B)", small, large, size)
+	for _, got := range []float64{small, large} {
+		if got > 3*size {
+			t.Errorf("%.0f B allocated per fragment, budget 3 × %.0f B", got, size)
+		}
+	}
+	if large > 1.1*small {
+		t.Errorf("per-fragment allocation grew with the population: %.0f B at 200k vs %.0f B at 20k", large, small)
 	}
 }

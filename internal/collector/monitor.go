@@ -189,11 +189,7 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 			if !cl.Clusters[ci].Fixed {
 				continue
 			}
-			sub := make([]trace.Fragment, 0, len(cl.Clusters[ci].Members))
-			for _, idx := range cl.Clusters[ci].Members {
-				sub = append(sub, e.Fragments[idx])
-			}
-			clusters = append(clusters, sub)
+			clusters = append(clusters, e.Fragments.Pick(cl.Clusters[ci].Members))
 		}
 	}
 	// When every involved edge has warm regression moments at the

@@ -51,10 +51,10 @@ func sameFactors(a, b []diagnose.Factor) bool {
 	return true
 }
 
-func buildClusterMoments(factors []diagnose.Factor, frags []trace.Fragment, members []int) *diagnose.ClusterMoments {
+func buildClusterMoments(factors []diagnose.Factor, frags stg.Log, members []int) *diagnose.ClusterMoments {
 	cm := diagnose.NewClusterMoments(factors)
 	for _, idx := range members {
-		cm.Add(&frags[idx])
+		cm.Add(frags.At(idx))
 	}
 	return cm
 }
@@ -65,7 +65,7 @@ func buildClusterMoments(factors []diagnose.Factor, frags []trace.Fragment, memb
 // — rank-1 Adds for appended members of grown clusters, carried
 // pointers for untouched clusters — and rebuilds from scratch when the
 // delta does not connect to the recorded generation.
-func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags []trace.Fragment, res cluster.Result, d cluster.Delta) {
+func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags stg.Log, res cluster.Result, d cluster.Delta) {
 	if !key.IsEdge || m.opt.DisableStreamingOLS {
 		return
 	}
@@ -99,7 +99,7 @@ func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags []trace.
 
 // advanceMoments patches em's streams by the delta. Returns false if an
 // index falls outside the recorded state (the caller then rebuilds).
-func (m *Monitor) advanceMoments(em *elemMoments, frags []trace.Fragment, res cluster.Result, d cluster.Delta) bool {
+func (m *Monitor) advanceMoments(em *elemMoments, frags stg.Log, res cluster.Result, d cluster.Delta) bool {
 	old := em.streams
 	if d.Prefix > len(old) || d.TailOld > len(old) {
 		return false
@@ -129,7 +129,7 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags []trace.Fragment, res cl
 					if int(pos) >= len(members) {
 						return false
 					}
-					cm.Add(&frags[members[pos]])
+					cm.Add(frags.At(members[pos]))
 				}
 				adds += uint64(len(dr.AddedPos))
 				streams[i] = cm

@@ -139,15 +139,8 @@ func TestResilientSpillEviction(t *testing.T) {
 	}
 	g := pool.Graph()
 	starts := map[int64]bool{}
-	for _, v := range g.Vertices() {
-		for _, f := range v.Fragments {
-			starts[f.Start] = true
-		}
-	}
-	for _, e := range g.Edges() {
-		for _, f := range e.Fragments {
-			starts[f.Start] = true
-		}
+	for _, f := range allFragments(g) {
+		starts[f.Start] = true
 	}
 	for _, want := range []int64{0, 3000, 4000} {
 		if !starts[want] {

@@ -180,10 +180,10 @@ func TestWireFragmentFidelity(t *testing.T) {
 
 	g := pool.Graph()
 	v := g.Vertex(9)
-	if v == nil || len(v.Fragments) != 1 {
+	if v == nil || v.Fragments.Len() != 1 {
 		t.Fatal("fragment not delivered")
 	}
-	got := v.Fragments[0]
+	got := *v.Fragments.At(0)
 	if got != want {
 		t.Fatalf("fragment mutated in transit:\n got %+v\nwant %+v", got, want)
 	}

@@ -147,10 +147,11 @@ func runViewSchedule(t *testing.T, seed int64, advances, rebases *atomic.Uint64)
 }
 
 // TestMergedViewSingleServerEpochs pins the 1-server fast path: the view
-// aliases the server's append log through PutEdgeLog/PutVertexLog, so
-// element epochs survive even when the server's slice reallocates at a
-// growth boundary — the regression that used to send every element back
-// through the batch plane whenever append crossed a power of two.
+// aliases snapshots of the server's append log, and a later snapshot of
+// the same log extends the earlier one, so element epochs survive every
+// growth of the server's log — first-chunk reallocations and chunk
+// boundaries alike — and the analysis planes never go cold again after
+// the element's first window.
 func TestMergedViewSingleServerEpochs(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Servers = 1
@@ -177,10 +178,12 @@ func TestMergedViewSingleServerEpochs(t *testing.T) {
 	feed(3)
 	p.RunWindow(0, 50_000_000)
 	ep := p.view.graph.Edge(key).Gen.Epoch
+	cold := p.met.Detect.PrepRebuildCold.Load()
 	var gen stg.Gen
-	// Push the server's slice through several reallocation boundaries.
-	for i := 0; i < 6; i++ {
-		feed(100)
+	// Grow the server's log through its first-chunk reallocations and
+	// past four chunk boundaries.
+	for i := 0; p.view.graph.Edge(key).Fragments.Len() < 4*stg.ChunkLen+1; i++ {
+		feed(50)
 		p.RunWindow(0, 50_000_000)
 		e := p.view.graph.Edge(key)
 		if e.Gen.Epoch != ep {
@@ -193,5 +196,8 @@ func TestMergedViewSingleServerEpochs(t *testing.T) {
 	}
 	if p.met.ViewEpochRebases.Load() != 0 {
 		t.Fatalf("single-server pool rebased %d times; want 0", p.met.ViewEpochRebases.Load())
+	}
+	if got := p.met.Detect.PrepRebuildCold.Load(); got != cold {
+		t.Fatalf("%d cold prep rebuilds after the first window; want 0", got-cold)
 	}
 }

@@ -146,7 +146,7 @@ type Result struct {
 }
 
 // clusterElement returns the (memoized) clustering of one STG element.
-func (r *Result) clusterElement(key cluster.Key, gen stg.Gen, frags []trace.Fragment) cluster.Result {
+func (r *Result) clusterElement(key cluster.Key, gen stg.Gen, frags stg.Log) cluster.Result {
 	if r.analyzer == nil {
 		r.analyzer = detect.NewAnalyzer()
 	}
@@ -346,7 +346,7 @@ func (r *Result) regionClusters(region *detect.Region) [][]trace.Fragment {
 			continue
 		}
 		seen[k] = true
-		var frags []trace.Fragment
+		var frags stg.Log
 		var ckey cluster.Key
 		var gen stg.Gen
 		if k.isEdge {
@@ -356,19 +356,14 @@ func (r *Result) regionClusters(region *detect.Region) [][]trace.Fragment {
 		} else if v := r.Graph.Vertex(k.vertex); v != nil {
 			frags, ckey, gen = v.Fragments, cluster.VertexKey(k.vertex), v.Gen
 		}
-		if frags == nil {
+		if frags.Len() == 0 {
 			continue
 		}
 		cl := r.clusterElement(ckey, gen, frags)
 		if k.cluster < 0 || k.cluster >= len(cl.Clusters) {
 			continue
 		}
-		members := cl.Clusters[k.cluster].Members
-		sub := make([]trace.Fragment, 0, len(members))
-		for _, m := range members {
-			sub = append(sub, frags[m])
-		}
-		if len(sub) > 0 {
+		if sub := frags.Pick(cl.Clusters[k.cluster].Members); len(sub) > 0 {
 			out = append(out, sub)
 		}
 	}
@@ -397,17 +392,12 @@ func (r *Result) DiagnoseTop(class detect.Class, opt diagnose.Options) *diagnose
 // populations diagnosis operates on.
 func (r *Result) FixedClusters(class detect.Class) [][]trace.Fragment {
 	var clusters [][]trace.Fragment
-	collect := func(key cluster.Key, gen stg.Gen, frags []trace.Fragment) {
+	collect := func(key cluster.Key, gen stg.Gen, frags stg.Log) {
 		cl := r.clusterElement(key, gen, frags)
 		for ci := range cl.Clusters {
-			if !cl.Clusters[ci].Fixed {
-				continue
+			if cl.Clusters[ci].Fixed {
+				clusters = append(clusters, frags.Pick(cl.Clusters[ci].Members))
 			}
-			sub := make([]trace.Fragment, 0, len(cl.Clusters[ci].Members))
-			for _, m := range cl.Clusters[ci].Members {
-				sub = append(sub, frags[m])
-			}
-			clusters = append(clusters, sub)
 		}
 	}
 	if class == detect.Computation {
@@ -416,7 +406,7 @@ func (r *Result) FixedClusters(class detect.Class) [][]trace.Fragment {
 		}
 	} else {
 		for _, v := range r.Graph.Vertices() {
-			if len(v.Fragments) > 0 && detect.ClassOf(v.Fragments[0].Kind) == class {
+			if v.Fragments.Len() > 0 && detect.ClassOf(v.Fragments.At(0).Kind) == class {
 				collect(cluster.VertexKey(v.Key), v.Gen, v.Fragments)
 			}
 		}

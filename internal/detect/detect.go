@@ -312,7 +312,7 @@ type Analyzer struct {
 	// clustering pass. Called from stage-1 workers CONCURRENTLY — the
 	// handler must do its own locking (and must not call back into the
 	// Analyzer, which would deadlock on the pass's internal locks).
-	clusterHook func(key cluster.Key, gen stg.Gen, frags []trace.Fragment, res cluster.Result, d cluster.Delta)
+	clusterHook func(key cluster.Key, gen stg.Gen, frags stg.Log, res cluster.Result, d cluster.Delta)
 }
 
 // NewAnalyzer returns an Analyzer with an empty clustering cache.
@@ -333,7 +333,7 @@ func (a *Analyzer) Cache() *cluster.Cache { return a.cache }
 // previous generation, so a consumer pinned to it can patch derived
 // state by the delta and rebuild otherwise. fn is called concurrently
 // from the pass's worker pool.
-func (a *Analyzer) SetClusterDeltaHook(fn func(key cluster.Key, gen stg.Gen, frags []trace.Fragment, res cluster.Result, d cluster.Delta)) {
+func (a *Analyzer) SetClusterDeltaHook(fn func(key cluster.Key, gen stg.Gen, frags stg.Log, res cluster.Result, d cluster.Delta)) {
 	a.clusterHook = fn
 }
 
@@ -550,7 +550,7 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 // the same outputs from a memoized full-population pass — but this
 // direct form remains the semantic reference: the equivalence tests pin
 // the sliced path bit-identical to it.
-func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, start, end int64) (out elemDirect) {
+func normalizeElement(frags stg.Log, cl cluster.Result, ref ClusterRef, opt Options, start, end int64) (out elemDirect) {
 	minFrag := minFragments(opt)
 	for ci := range cl.Clusters {
 		c := &cl.Clusters[ci]
@@ -564,8 +564,9 @@ func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef,
 		best := int64(math.MaxInt64)
 		perRank := make(map[int]int)
 		for _, m := range c.Members {
-			perRank[frags[m].Rank]++
-			if e := frags[m].Elapsed; e > 0 && e < best {
+			f := frags.At(m)
+			perRank[f.Rank]++
+			if e := f.Elapsed; e > 0 && e < best {
 				best = e
 			}
 		}
@@ -573,7 +574,7 @@ func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef,
 			continue
 		}
 		for _, m := range c.Members {
-			f := &frags[m]
+			f := frags.At(m)
 			if f.Start >= end || f.Start+f.Elapsed <= start {
 				continue
 			}
@@ -604,8 +605,8 @@ func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef,
 			})
 		}
 	}
-	for i := range frags {
-		f := &frags[i]
+	for i := 0; i < frags.Len(); i++ {
+		f := frags.At(i)
 		if f.Start >= end || f.Start+f.Elapsed <= start {
 			continue
 		}

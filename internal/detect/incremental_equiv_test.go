@@ -156,13 +156,13 @@ func runEquivSchedule(t *testing.T, seed int64, advances, rebuilds *atomic.Uint6
 		}
 		g.AddBatch(batch)
 
-		// Occasionally rebase one edge wholesale (fresh backing array):
+		// Occasionally rebase one edge wholesale (a fresh copy of its log):
 		// the epoch bumps and the incremental analyzer must fall back to
 		// a full prep rebuild, not reuse positions from the old log.
 		if rng.Intn(5) == 0 {
-			if e := g.Edge(edges[rng.Intn(len(edges))]); e != nil && len(e.Fragments) > 0 {
-				rebased := make([]trace.Fragment, len(e.Fragments))
-				copy(rebased, e.Fragments)
+			if e := g.Edge(edges[rng.Intn(len(edges))]); e != nil && e.Fragments.Len() > 0 {
+				var rebased stg.Log
+				e.Fragments.Runs(0, e.Fragments.Len(), func(_ int, run []trace.Fragment) { rebased.Append(run...) })
 				g.PutEdge(e.Key, rebased)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 
 	"vapro/internal/cluster"
 	"vapro/internal/stg"
-	"vapro/internal/trace"
 )
 
 // prepElem is the window-independent part of one STG element's analysis,
@@ -119,7 +118,7 @@ func (p *prepElem) stored() uint64 {
 // accounting keeps meaning "analysis passes that reused a clustering",
 // warm prep or not. Under DisableIncremental the clustering delta is
 // always Full, so every new generation rebuilds.
-func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment, opt Options, ref ClusterRef) *prepElem {
+func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags stg.Log, opt Options, ref ClusterRef) *prepElem {
 	met := a.met
 	var t0 time.Time
 	if met != nil {
@@ -142,7 +141,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 	a.mu.Lock()
 	p := a.preps[key]
 	a.mu.Unlock()
-	if p != nil && p.gen == gen && p.nfrags == len(frags) && p.copt == opt.Cluster {
+	if p != nil && p.gen == gen && p.nfrags == frags.Len() && p.copt == opt.Cluster {
 		return p
 	}
 	if met != nil {

@@ -254,14 +254,14 @@ func sortSeg(s *segSpans) {
 // element's per-class stores, with per-cluster append state (per-rank
 // counts and elapsed sums for coverage crossings, stored-sample counts
 // for validation).
-func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
-	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref, minFrag: minFragments(opt)}
-	if len(frags) > 0 {
-		p.class = ClassOf(frags[0].Kind)
+func buildPrep(frags stg.Log, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
+	p := &prepElem{gen: gen, nfrags: frags.Len(), copt: opt.Cluster, ref: ref, minFrag: minFragments(opt)}
+	if frags.Len() > 0 {
+		p.class = ClassOf(frags.At(0).Kind)
 	}
 	var fsegs [numClasses]segSpans
-	for i := range frags {
-		f := &frags[i]
+	for i := 0; i < frags.Len(); i++ {
+		f := frags.At(i)
 		c := ClassOf(f.Kind)
 		if c != p.class {
 			p.mixed = true
@@ -294,7 +294,7 @@ func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Op
 		cst := p.walkCluster(frags, c)
 		if cst.emitted {
 			for _, m := range c.Members {
-				f := &frags[m]
+				f := frags.At(m)
 				class := ClassOf(f.Kind)
 				if cst.perRank[f.Rank] >= p.minFrag {
 					p.fixedAll[class] += f.Elapsed
@@ -317,11 +317,11 @@ func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Op
 // members: per-rank counts and elapsed sums, the fastest member, and —
 // when that best is valid (some member ran for a positive time) — the
 // emission bookkeeping the caller then stores the members under.
-func (p *prepElem) walkCluster(frags []trace.Fragment, c *cluster.Cluster) clustState {
+func (p *prepElem) walkCluster(frags stg.Log, c *cluster.Cluster) clustState {
 	cst := clustState{perRank: make(map[int]int, 8), perRankNS: make(map[int]int64, 8)}
 	best := int64(math.MaxInt64)
 	for _, m := range c.Members {
-		f := &frags[m]
+		f := frags.At(m)
 		cst.perRank[f.Rank]++
 		cst.perRankNS[f.Rank] += f.Elapsed
 		if e := f.Elapsed; e > 0 && e < best {
@@ -333,7 +333,7 @@ func (p *prepElem) walkCluster(frags []trace.Fragment, c *cluster.Cluster) clust
 	}
 	cst.emitted, cst.best = true, best
 	for _, m := range c.Members {
-		f := &frags[m]
+		f := frags.At(m)
 		if cst.perRank[f.Rank] >= p.minFrag {
 			cst.fixedNS += f.Elapsed
 		}
@@ -359,14 +359,14 @@ func (st *sampleStore) emit(seg *segSpans, f *trace.Fragment, m int, id int32) {
 // movement. When retiring would push dead samples past a quarter of
 // the store it refuses with rebuildCompaction, leaving the prep
 // untouched for the rebuild.
-func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) rebuildReason {
+func (p *prepElem) advance(frags stg.Log, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) rebuildReason {
 	oldN := p.nfrags
-	nn := len(frags)
+	nn := frags.Len()
 	if p.mixed {
 		return rebuildMixed
 	}
 	for i := oldN; i < nn; i++ {
-		if ClassOf(frags[i].Kind) != p.class {
+		if ClassOf(frags.At(i).Kind) != p.class {
 			return rebuildMixed
 		}
 	}
@@ -444,7 +444,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 			id := p.ids[dr.OldIndex]
 			for _, ap := range dr.AddedPos {
 				m := cc.Members[ap]
-				f := &frags[m]
+				f := frags.At(m)
 				n := cst.perRank[f.Rank] + 1
 				cst.perRank[f.Rank] = n
 				if n == minFrag {
@@ -479,7 +479,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		cst := p.walkCluster(frags, cc)
 		if cst.emitted {
 			for _, m := range cc.Members {
-				st.emit(&seg, &frags[m], m, id)
+				st.emit(&seg, frags.At(m), m, id)
 			}
 		}
 		newState[ci] = cst
@@ -516,7 +516,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		elapsed: make([]int64, 0, nn-oldN),
 	}
 	for i := oldN; i < nn; i++ {
-		f := &frags[i]
+		f := frags.At(i)
 		fseg.push(int32(i), f.Start, f.Elapsed)
 		p.totalAll[class] += f.Elapsed
 	}

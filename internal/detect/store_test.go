@@ -277,14 +277,14 @@ func storeAdvanceBytes(t *testing.T, resident int) float64 {
 		clock += 10_000
 		return f
 	}
-	frags := make([]trace.Fragment, 0, resident+batch*rounds)
+	var frags stg.Log
 	for i := 0; i < resident; i++ {
-		frags = append(frags, frag(i))
+		frags.Append(frag(i))
 	}
 	opt := DefaultOptions()
 	key := cluster.VertexKey(40)
 	cache := cluster.NewCache()
-	gen := stg.Gen{Count: uint64(len(frags))}
+	gen := stg.Gen{Count: uint64(frags.Len())}
 	cl, _ := cache.RunInc(key, gen, frags, opt.Cluster)
 	p := buildPrep(frags, cl, ClusterRef{Vertex: 40}, opt, gen)
 
@@ -292,9 +292,9 @@ func storeAdvanceBytes(t *testing.T, resident int) float64 {
 	var ms runtime.MemStats
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < batch; i++ {
-			frags = append(frags, frag(len(frags)))
+			frags.Append(frag(frags.Len()))
 		}
-		gen.Count = uint64(len(frags))
+		gen.Count = uint64(frags.Len())
 		cl, d := cache.RunInc(key, gen, frags, opt.Cluster)
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc

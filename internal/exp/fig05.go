@@ -11,6 +11,7 @@ import (
 	"vapro/internal/noise"
 	"vapro/internal/sim"
 	"vapro/internal/stats"
+	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
 
@@ -42,23 +43,19 @@ func init() {
 func fig05series(res *core.Result) (ins, tsc []float64) {
 	var best []trace.Fragment
 	for _, e := range res.Graph.Edges() {
-		var r0 []trace.Fragment
-		for _, f := range e.Fragments {
-			if f.Rank == 0 && f.Counters.TotIns > 0 {
-				r0 = append(r0, f)
+		var r0 stg.Log
+		for i := 0; i < e.Fragments.Len(); i++ {
+			if f := e.Fragments.At(i); f.Rank == 0 && f.Counters.TotIns > 0 {
+				r0.Append(*f)
 			}
 		}
-		if len(r0) < 2 {
+		if r0.Len() < 2 {
 			continue
 		}
 		cl := cluster.Run(r0, cluster.DefaultOptions())
 		for _, c := range cl.Clusters {
 			if len(c.Members) > len(best) {
-				sub := make([]trace.Fragment, 0, len(c.Members))
-				for _, m := range c.Members {
-					sub = append(sub, r0[m])
-				}
-				best = sub
+				best = r0.Pick(c.Members)
 			}
 		}
 	}

@@ -106,8 +106,8 @@ func Fig18(w io.Writer, scale Scale) *Fig18Result {
 	// Figure 19: the per-operation series of the most varied IO
 	// clusters (reads of the small partition files, checkpoint writes).
 	for _, v := range res.Graph.Vertices() {
-		for i := range v.Fragments {
-			f := &v.Fragments[i]
+		for i := 0; i < v.Fragments.Len(); i++ {
+			f := v.Fragments.At(i)
 			if f.Rank != 0 {
 				continue
 			}

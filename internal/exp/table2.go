@@ -62,13 +62,13 @@ func Table2(w io.Writer, scale Scale) *Table2Result {
 		clusterBase := 0
 		truthBase := 0
 		for _, e := range run.Graph.Edges() {
-			if len(e.Fragments) < 5*run.Ranks {
+			if e.Fragments.Len() < 5*run.Ranks {
 				continue // cold path, not instrumented
 			}
 			cl := cluster.Run(e.Fragments, opt.Collector.Detect.Cluster)
 			truthID := map[uint64]int{}
-			for i := range e.Fragments {
-				f := &e.Fragments[i]
+			for i := 0; i < e.Fragments.Len(); i++ {
+				f := e.Fragments.At(i)
 				if f.Counters.TotIns == 0 || f.Truth == 0 {
 					continue
 				}

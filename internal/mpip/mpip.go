@@ -48,13 +48,13 @@ func Profile(g *stg.Graph, ranks int) []RankProfile {
 		}
 	}
 	for _, e := range g.Edges() {
-		for i := range e.Fragments {
-			add(&e.Fragments[i])
+		for i := 0; i < e.Fragments.Len(); i++ {
+			add(e.Fragments.At(i))
 		}
 	}
 	for _, v := range g.Vertices() {
-		for i := range v.Fragments {
-			add(&v.Fragments[i])
+		for i := 0; i < v.Fragments.Len(); i++ {
+			add(v.Fragments.At(i))
 		}
 	}
 	return out

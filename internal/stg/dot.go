@@ -36,21 +36,21 @@ func (g *Graph) DOT() string {
 	for _, k := range sorted {
 		label := g.Name(k)
 		if v := g.Vertex(k); v != nil {
-			label = fmt.Sprintf("%s\\n%d %s fragments", label, len(v.Fragments), v.Kind)
+			label = fmt.Sprintf("%s\\n%d %s fragments", label, v.Fragments.Len(), v.Kind)
 		}
 		fmt.Fprintf(&b, "  %s [label=\"%s\"];\n", id(k), escapeDOT(label))
 	}
 	for _, e := range g.Edges() {
 		var total int64
-		for i := range e.Fragments {
-			total += e.Fragments[i].Elapsed
+		for i := 0; i < e.Fragments.Len(); i++ {
+			total += e.Fragments.At(i).Elapsed
 		}
 		mean := float64(0)
-		if n := len(e.Fragments); n > 0 {
+		if n := e.Fragments.Len(); n > 0 {
 			mean = float64(total) / float64(n) / 1e6
 		}
 		fmt.Fprintf(&b, "  %s -> %s [label=\"%d x %.2fms\"];\n",
-			id(e.Key.From), id(e.Key.To), len(e.Fragments), mean)
+			id(e.Key.From), id(e.Key.To), e.Fragments.Len(), mean)
 	}
 	b.WriteString("}\n")
 	return b.String()

@@ -15,11 +15,11 @@ import (
 
 // Gen is an element's generation watermark, the handle consumers use to
 // ask "what arrived since I last looked" instead of "did anything
-// change". Each element's fragment slice is an append log: Count is the
-// log length (one generation per appended fragment) and Epoch identifies
-// the log itself. Epoch moves only when the slice is wholesale-replaced
-// in a way that does not provably preserve the previous contents as a
-// prefix (see PutVertex) — after an epoch bump, positions from older
+// change". Each element's fragments are an append-only Log: Count is
+// the log length (one generation per appended fragment) and Epoch
+// identifies the log itself. Epoch moves only when the log is
+// wholesale-replaced by one that is not provably an extension of it
+// (see PutVertex) — after an epoch bump, positions from older
 // generations are meaningless and consumers must re-read everything.
 // The zero Gen is "before anything", valid against any element.
 //
@@ -38,25 +38,10 @@ func (g Gen) Before(cur Gen) bool {
 	return g.Epoch == cur.Epoch && g.Count <= cur.Count
 }
 
-// sinceGen is the shared implementation of Vertex.Since / Edge.Since.
-func sinceGen(frags []trace.Fragment, cur, g Gen) ([]trace.Fragment, bool) {
-	if !g.Before(cur) {
-		return nil, false
-	}
-	return frags[g.Count:], true
-}
-
-// Vertex is one running state with the invocation fragments observed in
-// that state.
-type Vertex struct {
-	Key       uint64
-	Name      string
-	Kind      trace.Kind // dominant fragment kind at this vertex
-	Fragments []trace.Fragment
-	// Gen is the generation watermark of the fragment append log (see
-	// Gen). It replaces the old single monotonic Version stamp:
-	// Gen.Count still moves on every append, but consumers can now
-	// recover the appended suffix itself via Since.
+// elem is the fragment state Vertex and Edge share.
+type elem struct {
+	Fragments Log
+	// Gen is the generation watermark of the fragment log (see Gen).
 	Gen Gen
 	// MinStart/MaxEnd bound the time spans of the attached fragments
 	// ([MinStart, MaxEnd)), maintained on append so window overlap
@@ -64,30 +49,69 @@ type Vertex struct {
 	MinStart, MaxEnd int64
 }
 
-// Since returns the fragments appended after watermark g, or ok=false
-// when g belongs to a different epoch (the element was rebased and the
-// caller must re-read the full slice).
-func (v *Vertex) Since(g Gen) ([]trace.Fragment, bool) {
-	return sinceGen(v.Fragments, v.Gen, g)
+// Vertex is one running state with the invocation fragments observed in
+// that state.
+type Vertex struct {
+	Key  uint64
+	Name string
+	Kind trace.Kind // dominant fragment kind at this vertex
+	elem
 }
 
 // Edge is one state transition with the computation fragments observed
 // on it.
 type Edge struct {
-	Key       trace.EdgeKey
-	Fragments []trace.Fragment
-	// Gen is the generation watermark of the fragment append log (see
-	// Vertex.Gen).
-	Gen Gen
-	// MinStart/MaxEnd bound the attached fragment spans (see
-	// Vertex.MinStart).
-	MinStart, MaxEnd int64
+	Key trace.EdgeKey
+	elem
 }
 
-// Since returns the fragments appended after watermark g (see
-// Vertex.Since).
-func (e *Edge) Since(g Gen) ([]trace.Fragment, bool) {
-	return sinceGen(e.Fragments, e.Gen, g)
+// append adds frags to the element's own log: one generation per
+// fragment, bounds widened over the batch.
+func (e *elem) append(frags ...trace.Fragment) {
+	if len(frags) == 0 {
+		return
+	}
+	if e.Fragments.Len() == 0 {
+		e.MinStart, e.MaxEnd = frags[0].Start, frags[0].End()
+	}
+	e.Fragments.Append(frags...)
+	e.Gen.Count += uint64(len(frags))
+	e.widen(frags)
+}
+
+// widen extends the element's span bounds over run.
+func (e *elem) widen(run []trace.Fragment) {
+	for i := range run {
+		e.MinStart = min(e.MinStart, run[i].Start)
+		e.MaxEnd = max(e.MaxEnd, run[i].End())
+	}
+}
+
+// put replaces the element's log by frags and returns the change in
+// fragment count. Gen.Count becomes the log length, which is the
+// watermark an equivalent run of appends would carry, so downstream
+// memoization keys stay aligned. The epoch is kept when the old log is
+// provably a prefix of frags (Log.extends) — the replacement is then
+// indistinguishable from a run of appends, and only the new suffix is
+// scanned for bounds; anything else rebases onto a new epoch.
+func (e *elem) put(frags Log) int {
+	delta := frags.Len() - e.Fragments.Len()
+	from := e.Fragments.Len()
+	if !frags.extends(&e.Fragments) {
+		e.Gen.Epoch++
+		from = 0
+	}
+	e.Gen.Count = uint64(frags.Len())
+	e.Fragments = frags
+	if from == 0 {
+		e.MinStart, e.MaxEnd = 0, 0
+		if frags.Len() > 0 {
+			f := frags.At(0)
+			e.MinStart, e.MaxEnd = f.Start, f.End()
+		}
+	}
+	e.Fragments.Runs(from, frags.Len(), func(_ int, run []trace.Fragment) { e.widen(run) })
+	return delta
 }
 
 // Graph is a State Transition Graph built from a fragment stream. The
@@ -140,24 +164,24 @@ func (g *Graph) Name(key uint64) string {
 	return fmt.Sprintf("state(%x)", key)
 }
 
-// growFrags appends src to dst, growing large logs with 2x headroom
-// instead of the runtime's ~1.25x. A fragment log is an append-only
-// array that lives for the whole run: with a growth factor g every
-// element is copied 1/(g-1) times on average, so doubling cuts the
-// steady-state realloc memmove (and the page faults of mapping each
-// fresh multi-megabyte array) 4x compared to the runtime policy. The
-// headroom costs at most one extra log's worth of memory, which is
-// cheap because Fragment is pointer-free — the collector neither scans
-// nor pre-zeroes the spare capacity. Small logs keep the runtime policy
-// (their realloc traffic is negligible and most elements stay small).
-func growFrags(dst []trace.Fragment, src ...trace.Fragment) []trace.Fragment {
-	const headroomMin = 32 << 10 // elements; ~3.5MB — realloc starts to hurt
-	if n := len(dst) + len(src); n > cap(dst) && len(dst) >= headroomMin {
-		grown := make([]trace.Fragment, len(dst), 2*n)
-		copy(grown, dst)
-		dst = grown
+// edge returns the edge for key, creating it empty if needed.
+func (g *Graph) edge(key trace.EdgeKey) *Edge {
+	e, ok := g.edges[key]
+	if !ok {
+		e = &Edge{Key: key}
+		g.edges[key] = e
 	}
-	return append(dst, src...)
+	return e
+}
+
+// vertex returns the vertex for key, creating it with kind if needed.
+func (g *Graph) vertex(key uint64, kind trace.Kind) *Vertex {
+	v, ok := g.vertices[key]
+	if !ok {
+		v = &Vertex{Key: key, Kind: kind}
+		g.vertices[key] = v
+	}
+	return v
 }
 
 // Add attaches one fragment: computation fragments to the edge
@@ -165,203 +189,44 @@ func growFrags(dst []trace.Fragment, src ...trace.Fragment) []trace.Fragment {
 func (g *Graph) Add(f trace.Fragment) {
 	g.frags++
 	if f.Kind == trace.Comp {
-		k := f.Edge()
-		e, ok := g.edges[k]
-		if !ok {
-			e = &Edge{Key: k, MinStart: f.Start, MaxEnd: f.End()}
-			g.edges[k] = e
-		}
-		e.Fragments = growFrags(e.Fragments, f)
-		e.Gen.Count++
-		e.MinStart = min(e.MinStart, f.Start)
-		e.MaxEnd = max(e.MaxEnd, f.End())
+		g.edge(f.Edge()).append(f)
 		return
 	}
-	v, ok := g.vertices[f.State]
-	if !ok {
-		v = &Vertex{Key: f.State, Kind: f.Kind, MinStart: f.Start, MaxEnd: f.End()}
-		g.vertices[f.State] = v
-	}
-	v.Fragments = growFrags(v.Fragments, f)
-	v.Gen.Count++
-	v.MinStart = min(v.MinStart, f.Start)
-	v.MaxEnd = max(v.MaxEnd, f.End())
+	g.vertex(f.State, f.Kind).append(f)
 }
 
-// fragBounds computes the [min Start, max End) envelope of a fragment
-// slice. Empty slices report (0, 0).
-func fragBounds(frags []trace.Fragment) (minStart, maxEnd int64) {
-	if len(frags) == 0 {
-		return 0, 0
-	}
-	minStart, maxEnd = frags[0].Start, frags[0].End()
-	for i := 1; i < len(frags); i++ {
-		minStart = min(minStart, frags[i].Start)
-		maxEnd = max(maxEnd, frags[i].End())
-	}
-	return minStart, maxEnd
-}
-
-// extendBounds advances an element's envelope across a replacement that
-// kept the old fragments as a prefix: the old bounds still cover the
-// prefix, so only the appended suffix needs scanning. A non-prefix
-// replacement (oldN=0 included) falls back to the full scan. This keeps
-// the per-refresh cost of the collector's merged view proportional to
-// the delta — re-deriving the envelope of a million-fragment log on
-// every period was the last O(population) term in the view refresh.
-func extendBounds(minStart, maxEnd int64, oldN int, frags []trace.Fragment) (int64, int64) {
-	if oldN == 0 {
-		return fragBounds(frags)
-	}
-	for i := oldN; i < len(frags); i++ {
-		minStart = min(minStart, frags[i].Start)
-		maxEnd = max(maxEnd, frags[i].End())
-	}
-	return minStart, maxEnd
-}
-
-// putGen derives the next generation watermark for a wholesale
-// replacement: when the old fragments are provably a prefix of the new
-// slice (same backing array, which stg never mutates in place, and no
-// shrink) the epoch is preserved and the replacement is
-// indistinguishable from a run of appends; otherwise the log is rebased
-// onto a new epoch and incremental consumers start over.
-func putGen(old Gen, oldFrags, frags []trace.Fragment) Gen {
-	prefix := len(frags) >= len(oldFrags) &&
-		(len(oldFrags) == 0 || &frags[0] == &oldFrags[0])
-	if prefix {
-		return Gen{Epoch: old.Epoch, Count: uint64(len(frags))}
-	}
-	return Gen{Epoch: old.Epoch + 1, Count: uint64(len(frags))}
-}
-
-// PutVertex wholesale-replaces (or creates) a vertex. The incremental
-// merged view in the collector uses this to refresh only the elements
-// that grew since the last refresh. The resulting Gen.Count always
-// equals the total append count that produced frags, so it matches the
-// watermark an equivalent Add-built graph would carry and downstream
-// memoization keys stay aligned; the epoch is preserved only when the
-// previous fragments are provably a prefix of frags (see putGen). The
-// graph takes ownership of frags; kind is (re)assigned on every call —
-// a replaced element's dominant kind can change when its sources do.
-func (g *Graph) PutVertex(key uint64, kind trace.Kind, frags []trace.Fragment) {
-	v, ok := g.vertices[key]
-	if !ok {
-		v = &Vertex{Key: key}
-		g.vertices[key] = v
-	}
+// PutVertex wholesale-replaces (or creates) a vertex's log. The
+// collector's merged view uses this to alias a server's log snapshot
+// (see Log): each refresh puts a longer snapshot of the same log, which
+// keeps the epoch, while a log that does not extend the old one
+// rebases it (see elem.put). A fresh log the caller built becomes the
+// vertex's own; a snapshot stays read-only, so ExtendVertex on it
+// panics. kind is (re)assigned on every call — a replaced element's
+// dominant kind can change when its sources do.
+func (g *Graph) PutVertex(key uint64, kind trace.Kind, frags Log) {
+	v := g.vertex(key, kind)
 	v.Kind = kind
-	g.frags += len(frags) - len(v.Fragments)
-	oldEpoch, oldN := v.Gen.Epoch, len(v.Fragments)
-	v.Gen = putGen(v.Gen, v.Fragments, frags)
-	v.Fragments = frags
-	if v.Gen.Epoch == oldEpoch {
-		v.MinStart, v.MaxEnd = extendBounds(v.MinStart, v.MaxEnd, oldN, frags)
-	} else {
-		v.MinStart, v.MaxEnd = fragBounds(frags)
-	}
+	g.frags += v.put(frags)
 }
 
-// PutEdge wholesale-replaces (or creates) an edge (see PutVertex).
-func (g *Graph) PutEdge(key trace.EdgeKey, frags []trace.Fragment) {
-	e, ok := g.edges[key]
-	if !ok {
-		e = &Edge{Key: key}
-		g.edges[key] = e
-	}
-	g.frags += len(frags) - len(e.Fragments)
-	oldEpoch, oldN := e.Gen.Epoch, len(e.Fragments)
-	e.Gen = putGen(e.Gen, e.Fragments, frags)
-	e.Fragments = frags
-	if e.Gen.Epoch == oldEpoch {
-		e.MinStart, e.MaxEnd = extendBounds(e.MinStart, e.MaxEnd, oldN, frags)
-	} else {
-		e.MinStart, e.MaxEnd = fragBounds(frags)
-	}
-}
-
-// putLogGen is putGen for callers that assert frags logically extends
-// the previous log: the pointer-prefix proof is waived, only a shrink
-// still rebases. PutVertexLog's doc explains when the assertion holds.
-func putLogGen(old Gen, oldFrags, frags []trace.Fragment) Gen {
-	if len(frags) >= len(oldFrags) {
-		return Gen{Epoch: old.Epoch, Count: uint64(len(frags))}
-	}
-	return Gen{Epoch: old.Epoch + 1, Count: uint64(len(frags))}
-}
-
-// PutVertexLog replaces a vertex like PutVertex, with the caller
-// asserting that the previous fragments form a logical prefix of frags
-// — the slice came from the same append-only log, merely observed
-// later. The epoch is preserved even when the log's backing array moved
-// (an append that reallocated defeats putGen's pointer proof), so
-// incremental consumers stay on the delta path across reallocations.
-// A shrink still rebases defensively. The collector's merged view uses
-// this for single-server elements, whose per-server logs it verifies
-// by epoch and cursor accounting.
-func (g *Graph) PutVertexLog(key uint64, kind trace.Kind, frags []trace.Fragment) {
-	v, ok := g.vertices[key]
-	if !ok {
-		v = &Vertex{Key: key}
-		g.vertices[key] = v
-	}
-	v.Kind = kind
-	g.frags += len(frags) - len(v.Fragments)
-	oldEpoch, oldN := v.Gen.Epoch, len(v.Fragments)
-	v.Gen = putLogGen(v.Gen, v.Fragments, frags)
-	v.Fragments = frags
-	if v.Gen.Epoch == oldEpoch {
-		// The caller asserted the old log is a logical prefix of frags,
-		// so the old envelope covers it and only the suffix is new.
-		v.MinStart, v.MaxEnd = extendBounds(v.MinStart, v.MaxEnd, oldN, frags)
-	} else {
-		v.MinStart, v.MaxEnd = fragBounds(frags)
-	}
-}
-
-// PutEdgeLog replaces an edge under the same append-only-source
-// assertion as PutVertexLog.
-func (g *Graph) PutEdgeLog(key trace.EdgeKey, frags []trace.Fragment) {
-	e, ok := g.edges[key]
-	if !ok {
-		e = &Edge{Key: key}
-		g.edges[key] = e
-	}
-	g.frags += len(frags) - len(e.Fragments)
-	oldEpoch, oldN := e.Gen.Epoch, len(e.Fragments)
-	e.Gen = putLogGen(e.Gen, e.Fragments, frags)
-	e.Fragments = frags
-	if e.Gen.Epoch == oldEpoch {
-		// See PutVertexLog: the asserted prefix keeps the old envelope.
-		e.MinStart, e.MaxEnd = extendBounds(e.MinStart, e.MaxEnd, oldN, frags)
-	} else {
-		e.MinStart, e.MaxEnd = fragBounds(frags)
-	}
+// PutEdge wholesale-replaces (or creates) an edge's log (see
+// PutVertex).
+func (g *Graph) PutEdge(key trace.EdgeKey, frags Log) {
+	g.frags += g.edge(key).put(frags)
 }
 
 // ExtendVertex appends newFrags to a vertex's own log (creating the
-// vertex if needed). Unlike PutVertex the graph keeps ownership of the
-// element's slice and the epoch is preserved by construction — an
-// extend IS a run of appends, exactly like Add, just batched. The
-// collector's delta-append merged view uses this to keep cross-server
-// elements' epochs warm: each refresh appends only the per-server
-// suffixes its cursors report as new.
+// vertex if needed). An extend IS a run of appends, exactly like Add,
+// just batched, so the epoch is preserved by construction. The
+// collector's merged view uses this to keep cross-server elements'
+// epochs warm: each refresh appends only the per-server suffixes its
+// cursors report as new.
 func (g *Graph) ExtendVertex(key uint64, kind trace.Kind, newFrags []trace.Fragment) {
 	if len(newFrags) == 0 {
 		return
 	}
-	v, ok := g.vertices[key]
-	if !ok {
-		v = &Vertex{Key: key, Kind: kind, MinStart: newFrags[0].Start, MaxEnd: newFrags[0].End()}
-		g.vertices[key] = v
-	}
 	g.frags += len(newFrags)
-	v.Fragments = growFrags(v.Fragments, newFrags...)
-	v.Gen.Count += uint64(len(newFrags))
-	for i := range newFrags {
-		v.MinStart = min(v.MinStart, newFrags[i].Start)
-		v.MaxEnd = max(v.MaxEnd, newFrags[i].End())
-	}
+	g.vertex(key, kind).append(newFrags...)
 }
 
 // ExtendEdge appends newFrags to an edge's own log (see ExtendVertex).
@@ -369,25 +234,15 @@ func (g *Graph) ExtendEdge(key trace.EdgeKey, newFrags []trace.Fragment) {
 	if len(newFrags) == 0 {
 		return
 	}
-	e, ok := g.edges[key]
-	if !ok {
-		e = &Edge{Key: key, MinStart: newFrags[0].Start, MaxEnd: newFrags[0].End()}
-		g.edges[key] = e
-	}
 	g.frags += len(newFrags)
-	e.Fragments = growFrags(e.Fragments, newFrags...)
-	e.Gen.Count += uint64(len(newFrags))
-	for i := range newFrags {
-		e.MinStart = min(e.MinStart, newFrags[i].Start)
-		e.MaxEnd = max(e.MaxEnd, newFrags[i].End())
-	}
+	g.edge(key).append(newFrags...)
 }
 
 // Bounds returns the [min Start, max End) envelope over every fragment
 // in the graph, or ok=false when the graph holds no fragments.
 func (g *Graph) Bounds() (minStart, maxEnd int64, ok bool) {
 	for _, e := range g.edges {
-		if len(e.Fragments) == 0 {
+		if e.Fragments.Len() == 0 {
 			continue
 		}
 		if !ok {
@@ -398,7 +253,7 @@ func (g *Graph) Bounds() (minStart, maxEnd int64, ok bool) {
 		}
 	}
 	for _, v := range g.vertices {
-		if len(v.Fragments) == 0 {
+		if v.Fragments.Len() == 0 {
 			continue
 		}
 		if !ok {
@@ -417,24 +272,24 @@ func (g *Graph) Bounds() (minStart, maxEnd int64, ok bool) {
 // does not prove a fragment hit (spans can straddle a gap).
 func (g *Graph) Overlaps(start, end int64) bool {
 	for _, e := range g.edges {
-		if overlapsElement(e.Fragments, e.MinStart, e.MaxEnd, start, end) {
+		if e.overlaps(start, end) {
 			return true
 		}
 	}
 	for _, v := range g.vertices {
-		if overlapsElement(v.Fragments, v.MinStart, v.MaxEnd, start, end) {
+		if v.overlaps(start, end) {
 			return true
 		}
 	}
 	return false
 }
 
-func overlapsElement(frags []trace.Fragment, minStart, maxEnd, start, end int64) bool {
-	if len(frags) == 0 || minStart >= end || maxEnd <= start {
+func (e *elem) overlaps(start, end int64) bool {
+	if e.Fragments.Len() == 0 || e.MinStart >= end || e.MaxEnd <= start {
 		return false
 	}
-	for i := range frags {
-		if frags[i].Start < end && frags[i].End() > start {
+	for i := 0; i < e.Fragments.Len(); i++ {
+		if f := e.Fragments.At(i); f.Start < end && f.End() > start {
 			return true
 		}
 	}
@@ -504,15 +359,16 @@ func (g *Graph) Successors(from uint64) []uint64 {
 // Merge folds other into g (used when concatenating per-window graphs or
 // per-server shards).
 func (g *Graph) Merge(other *Graph) {
-	for _, v := range other.Vertices() {
-		for _, f := range v.Fragments {
-			g.Add(f)
+	addRun := func(_ int, run []trace.Fragment) {
+		for i := range run {
+			g.Add(run[i])
 		}
 	}
+	for _, v := range other.Vertices() {
+		v.Fragments.Runs(0, v.Fragments.Len(), addRun)
+	}
 	for _, e := range other.Edges() {
-		for _, f := range e.Fragments {
-			g.Add(f)
-		}
+		e.Fragments.Runs(0, e.Fragments.Len(), addRun)
 	}
 	for k, n := range other.names {
 		g.SetName(k, n)
@@ -534,23 +390,27 @@ type Stats struct {
 func (g *Graph) Stats() Stats {
 	s := Stats{Vertices: len(g.vertices), Edges: len(g.edges)}
 	for _, e := range g.edges {
-		s.CompFragments += len(e.Fragments)
-		for i := range e.Fragments {
-			s.TotalCompTime += e.Fragments[i].Elapsed
-		}
+		s.CompFragments += e.Fragments.Len()
+		e.Fragments.Runs(0, e.Fragments.Len(), func(_ int, run []trace.Fragment) {
+			for i := range run {
+				s.TotalCompTime += run[i].Elapsed
+			}
+		})
 	}
 	for _, v := range g.vertices {
-		for i := range v.Fragments {
-			s.TotalVertexTime += v.Fragments[i].Elapsed
-			switch v.Fragments[i].Kind {
-			case trace.Comm:
-				s.CommFragments++
-			case trace.IO:
-				s.IOFragments++
-			default:
-				s.OtherFragments++
+		v.Fragments.Runs(0, v.Fragments.Len(), func(_ int, run []trace.Fragment) {
+			for i := range run {
+				s.TotalVertexTime += run[i].Elapsed
+				switch run[i].Kind {
+				case trace.Comm:
+					s.CommFragments++
+				case trace.IO:
+					s.IOFragments++
+				default:
+					s.OtherFragments++
+				}
 			}
-		}
+		})
 	}
 	return s
 }

@@ -22,10 +22,10 @@ func TestAddRouting(t *testing.T) {
 	if g.NumEdges() != 1 || g.NumVertices() != 1 || g.NumFragments() != 2 {
 		t.Fatalf("routing: %s", g)
 	}
-	if e := g.Edge(trace.EdgeKey{From: 1, To: 2}); e == nil || len(e.Fragments) != 1 {
+	if e := g.Edge(trace.EdgeKey{From: 1, To: 2}); e == nil || e.Fragments.Len() != 1 {
 		t.Fatal("comp fragment not on edge")
 	}
-	if v := g.Vertex(2); v == nil || len(v.Fragments) != 1 || v.Kind != trace.Comm {
+	if v := g.Vertex(2); v == nil || v.Fragments.Len() != 1 || v.Kind != trace.Comm {
 		t.Fatal("comm fragment not on vertex")
 	}
 }
@@ -143,8 +143,8 @@ func TestPutMatchesAdd(t *testing.T) {
 	for _, f := range vfrags {
 		added.Add(f)
 	}
-	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, frags)
-	put.PutVertex(9, trace.Comm, vfrags)
+	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, LogOf(frags))
+	put.PutVertex(9, trace.Comm, LogOf(vfrags))
 	if put.NumFragments() != added.NumFragments() {
 		t.Fatalf("frag count %d, want %d", put.NumFragments(), added.NumFragments())
 	}
@@ -156,27 +156,25 @@ func TestPutMatchesAdd(t *testing.T) {
 	if vp.Gen.Count != va.Gen.Count || vp.MinStart != va.MinStart || vp.MaxEnd != va.MaxEnd || vp.Kind != va.Kind {
 		t.Fatalf("vertex meta: put %+v, add %+v", vp, va)
 	}
-	// Replacing with a grown slice adjusts the count and bounds. The
-	// copy shares no backing with the edge's slice, so the watermark
-	// must take an epoch bump (this is NOT a verified append).
-	grown := make([]trace.Fragment, 0, 8)
-	grown = append(grown, frags...)
-	grown = append(grown, fragComp(2, 1, 2, 500, 10))
+	// Replacing with a grown log adjusts the count and bounds. The log
+	// is a fresh copy, not the one the edge holds, so nothing proves
+	// the old fragments are its prefix: the watermark must take an
+	// epoch bump.
+	grown := LogOf(append(append([]trace.Fragment(nil), frags...), fragComp(2, 1, 2, 500, 10)))
 	epoch0 := put.Edge(trace.EdgeKey{From: 1, To: 2}).Gen.Epoch
-	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, grown)
+	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, grown.Snapshot())
 	if put.NumFragments() != 4 {
 		t.Fatalf("frag count after regrow: %d", put.NumFragments())
 	}
 	if ep := put.Edge(trace.EdgeKey{From: 1, To: 2}); ep.MaxEnd != 510 || ep.Gen.Count != 3 || ep.Gen.Epoch != epoch0+1 {
 		t.Fatalf("edge meta after regrow: %+v", ep)
 	}
-	// An append that extends the same backing array keeps the epoch:
-	// the old fragments are a pointer-verified prefix of the new slice
-	// (grown has spare capacity above, so no reallocation happens).
-	extended := append(grown, fragComp(3, 1, 2, 600, 10))
-	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, extended)
-	if ep2 := put.Edge(trace.EdgeKey{From: 1, To: 2}); ep2.Gen.Epoch != epoch0+1 || ep2.Gen.Count != 4 {
-		t.Fatalf("edge gen after in-place extension: %+v", ep2.Gen)
+	// A later snapshot of the same log extends the one the edge holds,
+	// so the epoch is kept.
+	grown.Append(fragComp(3, 1, 2, 600, 10))
+	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, grown.Snapshot())
+	if ep2 := put.Edge(trace.EdgeKey{From: 1, To: 2}); ep2.Gen.Epoch != epoch0+1 || ep2.Gen.Count != 4 || ep2.MaxEnd != 610 {
+		t.Fatalf("edge after extension: %+v", ep2)
 	}
 }
 
@@ -187,28 +185,23 @@ func TestGenSince(t *testing.T) {
 	}
 	e := g.Edge(trace.EdgeKey{From: 1, To: 2})
 	mark := e.Gen
-	if mark.Count != 5 {
-		t.Fatalf("gen count %d, want 5", mark.Count)
-	}
-	// Nothing new yet.
-	if delta, ok := e.Since(mark); !ok || len(delta) != 0 {
-		t.Fatalf("since(now): %d frags ok=%v", len(delta), ok)
+	if mark.Count != 5 || !mark.Before(e.Gen) {
+		t.Fatalf("gen %+v must be its own watermark", mark)
 	}
 	for i := 5; i < 8; i++ {
 		g.Add(fragComp(0, 1, 2, int64(i*10), 5))
 	}
-	e = g.Edge(trace.EdgeKey{From: 1, To: 2})
-	delta, ok := e.Since(mark)
-	if !ok || len(delta) != 3 || delta[0].Start != 50 {
-		t.Fatalf("since(mark): %d frags ok=%v", len(delta), ok)
+	// Positions [mark.Count, e.Gen.Count) are what arrived since mark.
+	if !mark.Before(e.Gen) || e.Gen.Count != 8 || e.Fragments.At(int(mark.Count)).Start != 50 {
+		t.Fatalf("since(mark): gen %+v", e.Gen)
 	}
 	// A watermark from another epoch is unanswerable.
-	if _, ok := e.Since(Gen{Epoch: mark.Epoch + 1, Count: 1}); ok {
-		t.Fatal("cross-epoch since must fail")
+	if (Gen{Epoch: mark.Epoch + 1, Count: 1}).Before(e.Gen) {
+		t.Fatal("cross-epoch watermark must not be before")
 	}
 	// A watermark from the future (count beyond the log) likewise.
-	if _, ok := e.Since(Gen{Epoch: e.Gen.Epoch, Count: e.Gen.Count + 1}); ok {
-		t.Fatal("future since must fail")
+	if (Gen{Epoch: e.Gen.Epoch, Count: e.Gen.Count + 1}).Before(e.Gen) {
+		t.Fatal("future watermark must not be before")
 	}
 }
 
@@ -310,38 +303,47 @@ func TestExtendMatchesAdd(t *testing.T) {
 	}
 	b.ExtendEdge(trace.EdgeKey{From: 1, To: 2}, batch)
 	ae, be := a.Edge(trace.EdgeKey{From: 1, To: 2}), b.Edge(trace.EdgeKey{From: 1, To: 2})
-	if ae.Gen != be.Gen || ae.MinStart != be.MinStart || ae.MaxEnd != be.MaxEnd || len(ae.Fragments) != len(be.Fragments) {
+	if ae.Gen != be.Gen || ae.MinStart != be.MinStart || ae.MaxEnd != be.MaxEnd || ae.Fragments.Len() != be.Fragments.Len() {
 		t.Fatalf("extend != add: %+v vs %+v", ae, be)
 	}
 }
 
+// TestPutLogKeepsEpochAcrossRealloc pins the prefix rule the merged
+// view relies on: putting ever longer snapshots of one log keeps the
+// epoch through every first-chunk reallocation and chunk boundary,
+// and only a log that does not extend the held one rebases.
 func TestPutLogKeepsEpochAcrossRealloc(t *testing.T) {
-	g := New()
-	log := []trace.Fragment{fragComp(0, 1, 2, 0, 10)}
-	g.PutEdgeLog(trace.EdgeKey{From: 1, To: 2}, log)
-	e := g.Edge(trace.EdgeKey{From: 1, To: 2})
-	epoch := e.Gen.Epoch
-	// A grown copy with a DIFFERENT backing array: PutEdge would rebase
-	// (pointer proof fails), PutEdgeLog trusts the caller's assertion.
-	grown := make([]trace.Fragment, 0, 8)
-	grown = append(grown, log...)
-	grown = append(grown, fragComp(0, 1, 2, 10, 10))
-	g.PutEdgeLog(e.Key, grown)
-	if e.Gen != (Gen{Epoch: epoch, Count: 2}) {
-		t.Fatalf("put-log rebased on realloc: %+v", e.Gen)
+	src, view := New(), New()
+	k := trace.EdgeKey{From: 1, To: 2}
+	for i := 0; i < 3*ChunkLen+5; i++ {
+		src.Add(fragComp(0, 1, 2, int64(i*10), 10))
+		view.PutEdge(k, src.Edge(k).Fragments.Snapshot())
+		if e := view.Edge(k); e.Gen != (Gen{Count: uint64(i + 1)}) || e.MaxEnd != int64(i*10+10) {
+			t.Fatalf("after %d appends: gen %+v max end %d", i+1, e.Gen, e.MaxEnd)
+		}
 	}
-	// A shrink is not an append-only advance: defensive rebase.
-	g.PutEdgeLog(e.Key, grown[:1:1])
-	if e.Gen.Epoch == epoch {
-		t.Fatal("put-log kept the epoch across a shrink")
+	e := view.Edge(k)
+	// A shrink is not an extension, even of the same log.
+	older := src.Edge(k).Fragments.Snapshot()
+	src.Add(fragComp(0, 1, 2, 0, 10))
+	view.PutEdge(k, src.Edge(k).Fragments.Snapshot())
+	view.PutEdge(k, older)
+	if e.Gen != (Gen{Epoch: 1, Count: uint64(older.Len())}) {
+		t.Fatalf("shrink kept the epoch: %+v", e.Gen)
+	}
+	// A copy holding the same fragments is a different log: rebase.
+	var cp Log
+	older.Runs(0, older.Len(), func(_ int, run []trace.Fragment) { cp.Append(run...) })
+	view.PutEdge(k, cp)
+	if e.Gen != (Gen{Epoch: 2, Count: uint64(older.Len())}) || e.MinStart != 0 {
+		t.Fatalf("copy kept the epoch: %+v [%d,%d)", e.Gen, e.MinStart, e.MaxEnd)
 	}
 
-	g.PutVertexLog(9, trace.IO, []trace.Fragment{{Rank: 0, Kind: trace.IO, State: 9, Start: 0, Elapsed: 5}})
-	v := g.Vertex(9)
-	vepoch := v.Gen.Epoch
-	regrown := []trace.Fragment{v.Fragments[0], {Rank: 1, Kind: trace.IO, State: 9, Start: 5, Elapsed: 5}}
-	g.PutVertexLog(9, trace.IO, regrown)
-	if v.Gen != (Gen{Epoch: vepoch, Count: 2}) {
-		t.Fatalf("vertex put-log rebased: %+v", v.Gen)
+	src.Add(trace.Fragment{Rank: 0, Kind: trace.IO, State: 9, Start: 0, Elapsed: 5})
+	view.PutVertex(9, trace.IO, src.Vertex(9).Fragments.Snapshot())
+	src.Add(trace.Fragment{Rank: 1, Kind: trace.IO, State: 9, Start: 5, Elapsed: 5})
+	view.PutVertex(9, trace.IO, src.Vertex(9).Fragments.Snapshot())
+	if v := view.Vertex(9); v.Gen != (Gen{Count: 2}) || v.MaxEnd != 10 {
+		t.Fatalf("vertex put rebased: %+v", v.Gen)
 	}
 }

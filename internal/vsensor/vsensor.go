@@ -84,8 +84,8 @@ func Analyze(g *stg.Graph, ranks int, cap Capability, opt detect.Options) *Resul
 	var usableTime, totalTime int64
 	groups := make(map[groupKey][]*trace.Fragment)
 	for _, e := range g.Edges() {
-		for i := range e.Fragments {
-			f := &e.Fragments[i]
+		for i := 0; i < e.Fragments.Len(); i++ {
+			f := e.Fragments.At(i)
 			totalTime += f.Elapsed
 			if !f.Static {
 				continue
@@ -122,8 +122,8 @@ func Analyze(g *stg.Graph, ranks int, cap Capability, opt detect.Options) *Resul
 	// vSensor v2 tracks communication too but we compare computation
 	// coverage as Table 1 does: total time includes everything.
 	for _, v := range g.Vertices() {
-		for i := range v.Fragments {
-			totalTime += v.Fragments[i].Elapsed
+		for i := 0; i < v.Fragments.Len(); i++ {
+			totalTime += v.Fragments.At(i).Elapsed
 		}
 	}
 	if totalTime > 0 {

@@ -14,7 +14,7 @@ go test ./...
 (cd perfbench && go test ./...)
 go test -race ./internal/mpi ./internal/collector ./internal/core \
 	./internal/interpose ./internal/detect ./internal/cluster \
-	./internal/obs ./internal/faults ./internal/wal
+	./internal/obs ./internal/faults ./internal/wal ./internal/stg
 
 # Chaos stage: the fault-tolerance soaks must hold the exact
 # loss-accounting invariant (consumed == delivered + sequence gaps)
