@@ -396,15 +396,21 @@ func BenchmarkWireEncode(b *testing.B) {
 
 // --- ingestion-plane benches (§3.5/§5 server intake + window analysis) ---
 
+// ingestBatch is one client batch of the ingestion workload.
+type ingestBatch struct {
+	Rank      int
+	Fragments []trace.Fragment
+}
+
 // ingestWorkload builds the streaming-ingestion workload: `total`
 // fragments across `clients` ranks and `edges` STG edges, spanning
 // `spanNS` of virtual time, batched `batch` fragments at a time — the
 // fragment stream a 256-client server shard absorbs per period.
-func ingestWorkload(clients, total, edges, batch int, spanNS int64) []collector.Batch {
+func ingestWorkload(clients, total, edges, batch int, spanNS int64) []ingestBatch {
 	rng := sim.NewRNG(7)
 	perRank := total / clients
 	step := spanNS / int64(perRank)
-	var out []collector.Batch
+	var out []ingestBatch
 	for rank := 0; rank < clients; rank++ {
 		var frags []trace.Fragment
 		for i := 0; i < perRank; i++ {
@@ -418,12 +424,12 @@ func ingestWorkload(clients, total, edges, batch int, spanNS int64) []collector.
 				Counters: trace.CountersView{TotIns: class + uint64(rng.Intn(1000))},
 			})
 			if len(frags) == batch {
-				out = append(out, collector.Batch{Rank: rank, Fragments: frags})
+				out = append(out, ingestBatch{Rank: rank, Fragments: frags})
 				frags = nil
 			}
 		}
 		if len(frags) > 0 {
-			out = append(out, collector.Batch{Rank: rank, Fragments: frags})
+			out = append(out, ingestBatch{Rank: rank, Fragments: frags})
 		}
 	}
 	return out

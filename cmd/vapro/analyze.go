@@ -8,15 +8,21 @@ import (
 	"path/filepath"
 	"sort"
 
+	"vapro"
 	"vapro/internal/collector"
 	"vapro/internal/sim"
 	"vapro/internal/trace"
 	"vapro/internal/wal"
 )
 
-// analyzeMain replays a delivery journal written by `vapro serve
-// -journal` into a fresh offline pool and runs the windowed analysis
-// over a virtual-time range. The journal holds the delivered frame
+// analyzeMain re-analyzes a journal directory. A run recorded with
+// `vapro -record DIR` carries a run manifest beside its journal and gets
+// the whole-run report `vapro` itself prints: summary, heat maps, the
+// artifact files and diagnosis.
+//
+// A delivery journal written by `vapro serve -journal` has no manifest;
+// it is replayed into a fresh offline pool and the windowed analysis
+// runs over a virtual-time range. The journal holds the delivered frame
 // stream in delivery order, so the rebuilt state — fragment logs,
 // sequence gaps, outage intervals — matches what the live server held,
 // and the window grid is anchored at zero exactly like the live one:
@@ -29,9 +35,19 @@ func analyzeMain(args []string) {
 	to := fs.Float64("to", 0, "range end, seconds of virtual time (0 = end of data)")
 	ranks := fs.Int("ranks", 0, "rank-space size (0 = infer from the journaled frames)")
 	jsonOut := fs.Bool("json", false, "emit the window rows as JSON")
+	report := addReportFlags(fs, "report-json")
 	_ = fs.Parse(args)
 	if *journal == "" {
 		fmt.Fprintln(os.Stderr, "vapro analyze: -journal is required")
+		os.Exit(2)
+	}
+	if _, err := os.Stat(filepath.Join(*journal, collector.ManifestFile)); err == nil {
+		analyzeRecording(*journal, report)
+		return
+	}
+	if report.requested() {
+		fmt.Fprintf(os.Stderr, "vapro analyze: %s holds no %s; report flags need a run recorded with vapro -record\n",
+			*journal, collector.ManifestFile)
 		os.Exit(2)
 	}
 
@@ -114,12 +130,24 @@ func analyzeMain(args []string) {
 	}
 }
 
+// analyzeRecording prints the whole-run report of a recorded run.
+func analyzeRecording(dir string, report *reportFlags) {
+	res, err := vapro.AnalyzeJournal(dir, vapro.DefaultOptions().Collector.Detect)
+	if err == nil {
+		fmt.Println(res.Summary())
+		err = report.write(res)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vapro analyze:", err)
+		os.Exit(1)
+	}
+}
+
 // journalDirs resolves the journal layout: a single-server journal is
 // segments directly in dir; a sharded serve writes shard<N>/
 // subdirectories. Both shapes are accepted.
 func journalDirs(dir string) ([]string, error) {
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if len(segs) > 0 {
+	if wal.HasSegments(dir) {
 		return []string{dir}, nil
 	}
 	shards, _ := filepath.Glob(filepath.Join(dir, "shard*"))

@@ -11,6 +11,7 @@ import (
 	"vapro/internal/detect"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
+	"vapro/internal/wal"
 )
 
 // listenRetry rebinds addr, retrying briefly: the kernel can lag a few
@@ -74,18 +75,24 @@ func sortFragments(fs []trace.Fragment) {
 //   - exact loss accounting (every consumed batch is either delivered
 //     or counted in a sequence gap: consumed == delivered + gaps),
 //   - the analysis over the delivered subset is bit-identical however
-//     that subset is viewed (live pool graph vs recorded stream).
+//     that subset is viewed (live pool graph vs the delivery journal
+//     replayed into a fresh pool).
 func TestChaosSoakServerRestarts(t *testing.T) {
 	const ranks = 4
 	const maxSpill = 8
 	pool := NewPool(ranks, DefaultOptions())
-	rec := NewRecordingSink(pool)
+	jour, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jour.Close()
+	pool.AttachJournal(jour)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	srv := ServeWire(ln, rec)
+	srv := ServeWire(ln, pool)
 	srv.SetDrainTimeout(20 * time.Millisecond)
 	met := pool.Metrics()
 
@@ -129,7 +136,7 @@ func TestChaosSoakServerRestarts(t *testing.T) {
 		}
 		time.Sleep(30 * time.Millisecond)
 		ln = listenRetry(t, addr)
-		srv = ServeWire(ln, rec)
+		srv = ServeWire(ln, pool)
 		srv.SetDrainTimeout(20 * time.Millisecond)
 	}
 	time.Sleep(25 * time.Millisecond)
@@ -186,19 +193,23 @@ func TestChaosSoakServerRestarts(t *testing.T) {
 	srv.Close()
 
 	// The delivered subset is one well-defined data set: the live
-	// pool's merged graph and the recorded stream hold the same
-	// fragment multiset...
+	// pool's merged graph and the journal replayed into a fresh pool
+	// hold the same fragment multiset...
+	replayed := NewPool(ranks, DefaultOptions())
+	defer replayed.Close()
+	if _, err := ReplayJournal(jour, replayed); err != nil {
+		t.Fatal(err)
+	}
 	poolFrags := allFragments(pool.Graph())
-	recording := rec.Recording(ranks, 1<<41, nil)
-	recFrags := allFragments(recording.Graph())
+	recFrags := allFragments(replayed.Graph())
 	sortFragments(poolFrags)
 	sortFragments(recFrags)
 	if len(poolFrags) != len(recFrags) {
-		t.Fatalf("pool holds %d fragments, recording %d", len(poolFrags), len(recFrags))
+		t.Fatalf("pool holds %d fragments, journal replay %d", len(poolFrags), len(recFrags))
 	}
 	for i := range poolFrags {
 		if poolFrags[i] != recFrags[i] {
-			t.Fatalf("fragment %d differs between pool and recording:\n %+v\n %+v",
+			t.Fatalf("fragment %d differs between pool and journal replay:\n %+v\n %+v",
 				i, poolFrags[i], recFrags[i])
 		}
 	}

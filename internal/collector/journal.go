@@ -20,7 +20,7 @@ import (
 // decision the live server made.
 
 // journalProvider is implemented by sinks (Pool via AttachJournal, and
-// the Monitor / RecordingSink / ShardSink forwards) that carry a
+// the Monitor / ShardSink forwards) that carry a
 // delivery journal. The wire server probes it at ServeWire time, so
 // attach the journal before starting the server.
 type journalProvider interface {
@@ -58,7 +58,7 @@ func ReplayJournal(jour *wal.Log, sink interface {
 			// torn tail (recovery already truncated those).
 			return fmt.Errorf("collector: journaled frame undecodable: %w", derr)
 		}
-		if checkRanks(meta.Rank, frags) != nil {
+		if checkRanks(meta.Rank, frags, math.MaxInt32) != nil {
 			// Journals written before the wire server checked ranks can
 			// hold a hostile frame; skip it rather than crash the
 			// restart.

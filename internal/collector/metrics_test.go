@@ -179,16 +179,3 @@ func TestMonitorCacheStatsConcurrent(t *testing.T) {
 		t.Fatalf("registry cache misses %v, want %d (pool's analyzer)", got, misses)
 	}
 }
-
-// A recording sink wrapping a pool forwards the pool's metrics surface
-// to the wire server; a bare one provides none.
-func TestRecordingSinkForwardsMetrics(t *testing.T) {
-	p := NewPool(1, DefaultOptions())
-	rs := NewRecordingSink(p)
-	if rs.Metrics() != p.Metrics() {
-		t.Fatal("recording sink must forward the wrapped pool's metrics")
-	}
-	if NewRecordingSink(nil).Metrics() != nil {
-		t.Fatal("bare recording sink must report no metrics surface")
-	}
-}

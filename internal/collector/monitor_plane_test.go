@@ -15,15 +15,21 @@ import (
 // planeRanks is the rank count of the mixed monitor stream.
 const planeRanks = 16
 
+// planeBatch is one rank's batch of the scripted stream.
+type planeBatch struct {
+	Rank      int
+	Fragments []trace.Fragment
+}
+
 // mixedStream builds a deterministic 16-rank run that cycles each rank
 // through a computation edge, a message send and a file read, with
 // seeded jitter and one slowdown per class: computation on every fifth
 // rank during [40ms, 70ms), communication on rank 7 during [20ms, 50ms)
 // and IO on rank 12 during [55ms, 85ms). Batches are interleaved across
 // ranks by the seeded RNG, each rank's batches in order.
-func mixedStream(seed int64) []Batch {
+func mixedStream(seed int64) []planeBatch {
 	rng := rand.New(rand.NewSource(seed))
-	perRank := make([][]Batch, planeRanks)
+	perRank := make([][]planeBatch, planeRanks)
 	for r := 0; r < planeRanks; r++ {
 		t := int64(r) * 1_000
 		var batch []trace.Fragment
@@ -55,15 +61,15 @@ func mixedStream(seed int64) []Batch {
 			batch = append(batch, f)
 			t += f.Elapsed
 			if len(batch) == 1+rng.Intn(12) {
-				perRank[r] = append(perRank[r], Batch{Rank: r, Fragments: batch})
+				perRank[r] = append(perRank[r], planeBatch{Rank: r, Fragments: batch})
 				batch = nil
 			}
 		}
 		if len(batch) > 0 {
-			perRank[r] = append(perRank[r], Batch{Rank: r, Fragments: batch})
+			perRank[r] = append(perRank[r], planeBatch{Rank: r, Fragments: batch})
 		}
 	}
-	var out []Batch
+	var out []planeBatch
 	heads := make([]int, planeRanks)
 	for remaining := planeRanks; remaining > 0; {
 		r := rng.Intn(planeRanks)
@@ -94,7 +100,7 @@ func planeOptions(servers int) (Options, MonitorOptions) {
 }
 
 // feedPlane delivers the stream to sink, then flushes and drains it.
-func feedPlane(stream []Batch, sink interface {
+func feedPlane(stream []planeBatch, sink interface {
 	Consume(rank int, frags []trace.Fragment)
 	Flush()
 	Drain() []Event

@@ -38,12 +38,6 @@ const maxFramePayload = 64 << 20
 // claimed frame length.
 const frameReadChunk = 1 << 20
 
-// Batch is the transport unit: one client's buffered fragments.
-type Batch struct {
-	Rank      int
-	Fragments []trace.Fragment
-}
-
 // sizedSink is implemented by sinks (Pool, Monitor) that can book an
 // already-measured encoded size, so the wire server's decoded payload
 // length feeds the §6.2 byte accounting directly instead of the sink
@@ -52,10 +46,10 @@ type sizedSink interface {
 	ConsumeSized(rank int, frags []trace.Fragment, bytes int)
 }
 
-// metricsProvider is implemented by sinks (Pool, Monitor,
-// RecordingSink wrapping either) that expose a collector metrics
-// surface; the wire server counts frames into it so transport failures
-// that are swallowed as connection kills still leave a visible trace.
+// metricsProvider is implemented by sinks (Pool, Monitor) that expose
+// a collector metrics surface; the wire server counts frames into it so
+// transport failures that are swallowed as connection kills still leave
+// a visible trace.
 type metricsProvider interface {
 	Metrics() *Metrics
 }
@@ -283,7 +277,7 @@ func (s *WireServer) serveConn(conn net.Conn) {
 // or the journal sees it: journaled, it would poison every later
 // replay.
 func (s *WireServer) deliverFrame(meta trace.BatchMeta, frags []trace.Fragment, payload []byte) error {
-	if err := checkRanks(meta.Rank, frags); err != nil {
+	if err := checkRanks(meta.Rank, frags, math.MaxInt32); err != nil {
 		return err
 	}
 	if s.jour != nil {
@@ -337,14 +331,16 @@ func (s *WireServer) deliverFrame(meta trace.BatchMeta, frags []trace.Fragment, 
 }
 
 // checkRanks refuses a frame whose batch rank or any fragment rank lies
-// outside [0, math.MaxInt32]: the range rank routing and the detect
-// sample store's compact records are built for.
-func checkRanks(rank int, frags []trace.Fragment) error {
-	if rank < 0 || rank > math.MaxInt32 {
+// outside [0, maxRank]. The wire path and journal replay pass
+// math.MaxInt32, the range rank routing and the detect sample store's
+// compact records are built for; a recorded run passes its own last
+// rank.
+func checkRanks(rank int, frags []trace.Fragment, maxRank int) error {
+	if rank < 0 || rank > maxRank {
 		return fmt.Errorf("collector: frame rank %d out of range", rank)
 	}
 	for i := range frags {
-		if r := frags[i].Rank; r < 0 || r > math.MaxInt32 {
+		if r := frags[i].Rank; r < 0 || r > maxRank {
 			return fmt.Errorf("collector: fragment rank %d out of range in rank %d frame", r, rank)
 		}
 	}

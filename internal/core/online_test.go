@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"io"
 	"testing"
 
 	"vapro/internal/apps"
@@ -54,20 +52,16 @@ func TestRunOnline(t *testing.T) {
 func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ranks = 8
-	opt.Record = true
+	opt.Record = t.TempDir()
 	sch := noise.NewSchedule()
 	sch.Add(noise.CPUContention(0, 1, sim.Time(700*sim.Millisecond), sim.Time(1200*sim.Millisecond), 0.5))
 	opt.Noise = sch
 	res := RunTraced(apps.NewCG(10), opt)
-	if res.Recording == nil {
-		t.Fatal("Record option produced no recording")
+	if res.RecordErr != nil {
+		t.Fatal(res.RecordErr)
 	}
 
-	var buf bytes.Buffer
-	if err := res.SaveRecording(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := AnalyzeRecording(&buf, opt.Collector.Detect)
+	re, err := AnalyzeJournal(opt.Record, opt.Collector.Detect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +75,10 @@ func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	if len(re.Detection.Regions) != len(res.Detection.Regions) {
 		t.Fatalf("regions: %d vs %d", len(re.Detection.Regions), len(res.Detection.Regions))
 	}
+	if re.Ranks != res.Ranks || re.Makespan != res.Makespan || len(re.SiteNames) != len(res.SiteNames) {
+		t.Fatalf("manifest lost run facts: %d ranks %v makespan %d sites, want %d %v %d",
+			re.Ranks, re.Makespan, len(re.SiteNames), res.Ranks, res.Makespan, len(res.SiteNames))
+	}
 	// Diagnosis works on the reloaded data.
 	if len(re.Detection.Regions) > 0 {
 		rep := re.Diagnose(&re.Detection.Regions[0], diagnose.DefaultOptions())
@@ -90,38 +88,25 @@ func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunOnlineRecordRoundTrip: an online run with Record keeps the raw
-// stream the monitor saw, and the saved recording reloads with the
-// same fragments.
+// TestRunOnlineRecordRoundTrip: an online run with Record journals the
+// raw stream the monitor saw, and the recording reloads with the same
+// fragments.
 func TestRunOnlineRecordRoundTrip(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ranks = 8
-	opt.Record = true
+	opt.Record = t.TempDir()
 	opt.Collector.Period = 200 * sim.Millisecond
 	opt.Collector.Overlap = 100 * sim.Millisecond
 	opt.Collector.Detect.Window = 50 * sim.Millisecond
 	res := RunOnline(apps.NewCG(10), opt)
-	if res.Recording == nil {
-		t.Fatal("Record option produced no recording")
+	if res.RecordErr != nil {
+		t.Fatal(res.RecordErr)
 	}
-	var buf bytes.Buffer
-	if err := res.SaveRecording(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := AnalyzeRecording(&buf, opt.Collector.Detect)
+	re, err := AnalyzeJournal(opt.Record, opt.Collector.Detect)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := res.Graph.NumFragments(); n == 0 || re.Graph.NumFragments() != n {
 		t.Fatalf("fragments: %d reloaded vs %d online", re.Graph.NumFragments(), n)
-	}
-}
-
-func TestSaveRecordingWithoutRecord(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Ranks = 4
-	res := RunTraced(apps.NewCG(2), opt)
-	if err := res.SaveRecording(io.Discard); err == nil {
-		t.Fatal("unrecorded run saved")
 	}
 }

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"vapro/internal/apps"
@@ -43,9 +42,10 @@ type Options struct {
 	Collector collector.Options
 	// BufferedIO enables the client-side file buffer (the RAxML fix).
 	BufferedIO bool
-	// Record keeps the raw fragment stream on the Result so it can be
-	// persisted with SaveRecording and re-analyzed offline later.
-	Record bool
+	// Record, when non-empty, is a directory the run journals its raw
+	// fragment stream into (a delivery journal plus a run manifest), to
+	// be re-analyzed offline later with AnalyzeJournal.
+	Record string
 	// PMUJitter overrides the counter-read jitter (default 0.002).
 	PMUJitter float64
 }
@@ -133,9 +133,9 @@ type Result struct {
 	BytesOut        int64
 	// SiteNames maps state keys to human-readable call-sites.
 	SiteNames map[uint64]string
-	// Recording holds the raw fragment stream when Options.Record was
-	// set (nil otherwise).
-	Recording *collector.Recording
+	// RecordErr is the failure to record the run into Options.Record,
+	// nil when the recording is whole or none was asked for.
+	RecordErr error
 
 	clusterOpt cluster.Options
 	// analyzer memoizes per-element clusterings: the whole-run
@@ -158,12 +158,7 @@ func (r *Result) clusterElement(key cluster.Key, gen stg.Gen, frags stg.Log) clu
 func RunTraced(app apps.App, opt Options) *Result {
 	world, fs, ranks := setup(app, &opt)
 	pool := collector.NewPool(ranks, opt.Collector)
-	var sink interpose.Sink = pool
-	var recorder *collector.RecordingSink
-	if opt.Record {
-		recorder = collector.NewRecordingSink(pool)
-		sink = recorder
-	}
+	sink, recorder, recErr := startRecord(opt.Record, pool)
 	cfg := rt.Config{FS: fs, BufferedIO: opt.BufferedIO}
 
 	type rankStats struct {
@@ -209,42 +204,51 @@ func RunTraced(app apps.App, opt Options) *Result {
 	}
 	res.analyzer = detect.NewAnalyzer()
 	res.Detection = res.analyzer.Run(res.Graph, ranks, opt.Collector.Detect)
-	if recorder != nil {
-		res.Recording = recorder.Recording(ranks, int64(res.Makespan), res.SiteNames)
-	}
+	res.finishRecord(recorder, recErr)
 	return res
 }
 
-// SaveRecording persists the run's raw fragment stream (requires
-// Options.Record). Load it back with AnalyzeRecording.
-func (r *Result) SaveRecording(w io.Writer) error {
-	if r.Recording == nil {
-		return fmt.Errorf("core: run was not recorded (set Options.Record)")
+// startRecord puts a journaling sink in front of next when dir names a
+// recording directory.
+func startRecord(dir string, next interpose.Sink) (interpose.Sink, *collector.RecordSink, error) {
+	if dir == "" {
+		return next, nil, nil
 	}
-	return collector.WriteRecording(w, r.Recording)
+	rec, err := collector.NewRecordSink(dir, next)
+	if err != nil {
+		return next, nil, err
+	}
+	return rec, rec, nil
 }
 
-// AnalyzeRecording rebuilds an analysis Result from a persisted
-// fragment stream: the offline half of the record/analyze workflow.
-// The resulting Result supports detection rendering and diagnosis but
-// has no Pool (there was no live collection).
-func AnalyzeRecording(rd io.Reader, dopt detect.Options) (*Result, error) {
-	rec, err := collector.ReadRecording(rd)
+// finishRecord seals the recording with the run's manifest and books
+// any failure in RecordErr.
+func (r *Result) finishRecord(rec *collector.RecordSink, err error) {
+	if rec != nil {
+		err = rec.Close(collector.RunManifest{Ranks: r.Ranks, MakespanNS: int64(r.Makespan), SiteNames: r.SiteNames})
+	}
+	r.RecordErr = err
+}
+
+// AnalyzeJournal rebuilds an analysis Result from a run recorded with
+// Options.Record: the offline half of the record/analyze workflow. The
+// resulting Result supports detection rendering and diagnosis but has
+// no Pool (there was no live collection).
+func AnalyzeJournal(dir string, dopt detect.Options) (*Result, error) {
+	m, g, err := collector.LoadRecording(dir)
 	if err != nil {
 		return nil, err
 	}
-	g := rec.Graph()
 	res := &Result{
-		Ranks:      rec.Ranks,
-		Makespan:   sim.Duration(rec.MakespanNS),
+		Ranks:      m.Ranks,
+		Makespan:   sim.Duration(m.MakespanNS),
 		Graph:      g,
-		SiteNames:  rec.SiteNames,
-		Recording:  rec,
+		SiteNames:  m.SiteNames,
 		clusterOpt: dopt.Cluster,
 	}
 	res.App.Name = "recording"
 	res.analyzer = detect.NewAnalyzer()
-	res.Detection = res.analyzer.Run(g, rec.Ranks, dopt)
+	res.Detection = res.analyzer.Run(g, m.Ranks, dopt)
 	return res, nil
 }
 
@@ -271,12 +275,7 @@ func RunOnline(app apps.App, opt Options) *OnlineResult {
 	mopt.Overlap = opt.Collector.Overlap
 	mopt.Detect = opt.Collector.Detect
 	mon := collector.NewMonitor(pool, mopt)
-	var sink interpose.Sink = mon
-	var recorder *collector.RecordingSink
-	if opt.Record {
-		recorder = collector.NewRecordingSink(mon)
-		sink = recorder
-	}
+	sink, recorder, recErr := startRecord(opt.Record, mon)
 	cfg := rt.Config{FS: fs, BufferedIO: opt.BufferedIO}
 
 	res := &Result{
@@ -311,9 +310,7 @@ func RunOnline(app apps.App, opt Options) *OnlineResult {
 	}
 	res.analyzer = detect.NewAnalyzer()
 	res.Detection = res.analyzer.Run(res.Graph, ranks, opt.Collector.Detect)
-	if recorder != nil {
-		res.Recording = recorder.Recording(ranks, int64(res.Makespan), res.SiteNames)
-	}
+	res.finishRecord(recorder, recErr)
 	return &OnlineResult{Result: res, Monitor: mon, Events: mon.Drain()}
 }
 

@@ -49,14 +49,10 @@ type Options struct {
 	// generation change re-clusters and re-normalizes from scratch.
 	// Results are bit-identical either way; this exists to benchmark
 	// the incremental plane against its baseline and as an escape
-	// hatch. It is the master switch — it also disables incremental
-	// region growing below.
+	// hatch. It also makes region growing run from scratch every window
+	// instead of carrying unchanged regions over from the previous
+	// window's overlap.
 	DisableIncremental bool
-	// DisableIncrementalRegions forces region growing to run from
-	// scratch every window instead of carrying unchanged regions over
-	// from the previous window's overlap. Results are bit-identical
-	// either way.
-	DisableIncrementalRegions bool
 }
 
 // Outage is one rank's data-loss interval in virtual time: batches

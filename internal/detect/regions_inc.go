@@ -54,11 +54,11 @@ func (s *regionCarryState) staleAt(idx int32) bool {
 
 // growRegionsFor dispatches between the carrying pass and the batch
 // reference, keeping the per-class carry state coherent with the
-// escape hatches (a disabled pass clears it so nothing stale is ever
+// escape hatch (a disabled pass clears it so nothing stale is ever
 // consulted after re-enabling).
 func (a *Analyzer) growRegionsFor(class Class, h *HeatMap, samples []Sample, opt Options) []Region {
 	c := int(class)
-	if opt.DisableIncremental || opt.DisableIncrementalRegions {
+	if opt.DisableIncremental {
 		a.regionCarry[c] = nil
 		return growRegions(h, samples, opt)
 	}

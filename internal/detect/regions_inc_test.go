@@ -111,10 +111,11 @@ func runRegionCarrySchedule(t *testing.T, seed int64, carried *atomic.Uint64) {
 	}
 }
 
-// TestRegionCarryHatch pins the DisableIncrementalRegions escape hatch:
-// a persistent analyzer flipped onto the hatch mid-run must produce
-// batch-identical results, and flipping back must also stay exact (the
-// hatch clears carry state, so nothing stale survives the round trip).
+// TestRegionCarryHatch pins the DisableIncremental escape hatch on the
+// region-carry plane: a persistent analyzer flipped onto the hatch
+// mid-run must produce batch-identical results, and flipping back must
+// also stay exact (the hatch clears carry state, so nothing stale
+// survives the round trip).
 func TestRegionCarryHatch(t *testing.T) {
 	g := stg.New()
 	a := NewAnalyzer()
@@ -166,7 +167,7 @@ func TestRegionCarryHatch(t *testing.T) {
 	}
 
 	hatch := opt
-	hatch.DisableIncrementalRegions = true
+	hatch.DisableIncremental = true
 	check(hatch, 2*winNS, "hatch")
 	for c := 0; c < numClasses; c++ {
 		if a.regionCarry[c] != nil {

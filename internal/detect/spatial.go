@@ -215,7 +215,7 @@ func (m *Merger) Merge(parts []*Result, ranks int, owner func(rank int) int, opt
 		res.Samples[class] = samples
 
 		var regs []Region
-		if opt.DisableIncremental || opt.DisableIncrementalRegions {
+		if opt.DisableIncremental {
 			m.carry[c] = nil
 			regs = growRegions(merged, samples, opt)
 		} else {

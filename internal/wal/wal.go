@@ -204,23 +204,10 @@ func (l *Log) Dir() string { return l.dir }
 // and opens the newest segment for appending (creating the first
 // segment when the directory is empty).
 func (l *Log) recover() error {
-	ents, err := os.ReadDir(l.dir)
+	segs, err := listSegments(l.dir)
 	if err != nil {
 		return err
 	}
-	var segs []*segment
-	for _, ent := range ents {
-		name := ent.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		idx, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, &segment{path: filepath.Join(l.dir, name), index: idx})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
 	for _, s := range segs {
 		keep, err := l.recoverSegment(s)
 		if err != nil {
@@ -252,6 +239,73 @@ func (l *Log) recover() error {
 		return err
 	}
 	l.active = f
+	return nil
+}
+
+// listSegments returns dir's segment files in index order.
+func listSegments(dir string) ([]*segment, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segs []*segment
+	for _, ent := range ents {
+		name := ent.Name()
+		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+			continue
+		}
+		idx, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 10, 64)
+		if err != nil {
+			continue
+		}
+		segs = append(segs, &segment{path: filepath.Join(dir, name), index: idx})
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
+	return segs, nil
+}
+
+// HasSegments reports whether dir holds segment files, without opening
+// (and so without creating or repairing) a log there.
+func HasSegments(dir string) bool {
+	segs, err := listSegments(dir)
+	return err == nil && len(segs) > 0
+}
+
+// ReadDir streams every record of the complete log in dir, oldest
+// first, without opening it: nothing is truncated, removed or created.
+// Where Open repairs, ReadDir fails: a bad segment header, a torn or
+// checksum-failing record, and a gap in the segment numbering (a log
+// never acknowledged or reclaimed runs 1..N) are errors. fn's payload
+// aliases a per-segment buffer valid only during the call.
+func ReadDir(dir string, fn func(payload []byte) error) error {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return err
+	}
+	for i, seg := range segs {
+		if seg.index != uint64(i)+1 {
+			return fmt.Errorf("wal: segment %d missing from %s", uint64(i)+1, dir)
+		}
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			return err
+		}
+		if len(data) < segHeaderSize || [4]byte(data[:4]) != segMagic || data[4] != segVersion {
+			return fmt.Errorf("wal: bad segment header in %s", seg.path)
+		}
+		rest := data[segHeaderSize:]
+		for off := segHeaderSize; len(rest) > 0; {
+			payload, n, err := trace.DecodeRecord(rest)
+			if err != nil {
+				return fmt.Errorf("wal: damaged record at byte %d of %s: %w", off, seg.path, err)
+			}
+			if err := fn(payload); err != nil {
+				return err
+			}
+			rest = rest[n:]
+			off += n
+		}
+	}
 	return nil
 }
 

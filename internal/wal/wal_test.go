@@ -703,3 +703,107 @@ func TestCursorAcrossDeletedSegments(t *testing.T) {
 		}
 	}
 }
+
+// snapshotDir returns every file in dir by name with its bytes.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestReadDirNeverRepairs: ReadDir reads a whole log in order, and on a
+// damaged one it returns an error where Open would repair, leaving the
+// directory byte-identical.
+func TestReadDirNeverRepairs(t *testing.T) {
+	write := func(t *testing.T) (string, [][]byte) {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := payloads(12)
+		for _, p := range want {
+			if err := l.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, want
+	}
+	seg := func(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", i)) }
+
+	dir, want := write(t)
+	var got [][]byte
+	if err := ReadDir(dir, func(p []byte) error {
+		got = append(got, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+
+	damage := []struct {
+		name string
+		do   func(t *testing.T, dir string)
+	}{
+		{"flipped record byte", func(t *testing.T, dir string) {
+			data, _ := os.ReadFile(seg(dir, 2))
+			data[len(data)-3] ^= 0xff
+			os.WriteFile(seg(dir, 2), data, 0o644)
+		}},
+		{"torn tail", func(t *testing.T, dir string) {
+			segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+			last := segs[len(segs)-1]
+			fi, _ := os.Stat(last)
+			os.Truncate(last, fi.Size()-2)
+		}},
+		{"bad header", func(t *testing.T, dir string) {
+			data, _ := os.ReadFile(seg(dir, 1))
+			data[0] = 'X'
+			os.WriteFile(seg(dir, 1), data, 0o644)
+		}},
+		{"missing middle segment", func(t *testing.T, dir string) { os.Remove(seg(dir, 2)) }},
+		{"missing first segment", func(t *testing.T, dir string) { os.Remove(seg(dir, 1)) }},
+	}
+	for _, tc := range damage {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, _ := write(t)
+			tc.do(t, dir)
+			before := snapshotDir(t, dir)
+			if err := ReadDir(dir, func([]byte) error { return nil }); err == nil {
+				t.Fatal("read a damaged log without error")
+			} else {
+				t.Log(err)
+			}
+			after := snapshotDir(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("ReadDir changed the file set: %d files, was %d", len(after), len(before))
+			}
+			for name, data := range before {
+				if after[name] != data {
+					t.Fatalf("ReadDir changed %s", name)
+				}
+			}
+		})
+	}
+}

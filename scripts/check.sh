@@ -281,15 +281,26 @@ grep -Fq 'replayed 64 frame(s)' /tmp/vapro-analyze.out
 	grep -q '"replayed_frames": 64'
 rm -rf "$JDIR" "$WDIR"
 
-# Online recording smoke: an online run with -record must persist the
-# stream its monitor saw, and the offline re-analysis must count the
-# same fragments, class by class.
-ONLINE_REC=/tmp/vapro-check-online.vrec
-rm -f "$ONLINE_REC"
-/tmp/vapro-check -app CG -ranks 16 -online -record "$ONLINE_REC" >/tmp/vapro-online.out
-go run ./cmd/vaproanalyze "$ONLINE_REC" >/tmp/vapro-online-analyze.out
+# Recording smoke: a run with -record DIR journals the stream its
+# collector saw, and `vapro analyze -journal DIR` reports from it. The
+# online run's offline re-analysis must count the same fragments, class
+# by class; an offline -diagnose report must equal the live one, apart
+# from the app label that reads "recording:" offline.
+REC_DIR=/tmp/vapro-check-record
+rm -rf "$REC_DIR"
+/tmp/vapro-check -app CG -ranks 16 -online -record "$REC_DIR" >/tmp/vapro-online.out
+/tmp/vapro-check analyze -journal "$REC_DIR" >/tmp/vapro-online-analyze.out
 FRAGS_RE='[0-9]* fragments ([0-9]* comp, [0-9]* comm, [0-9]* io)'
 ONLINE_FRAGS=$(grep -o "$FRAGS_RE" /tmp/vapro-online.out)
 ANALYZED_FRAGS=$(grep -o "$FRAGS_RE" /tmp/vapro-online-analyze.out)
 [ -n "$ONLINE_FRAGS" ] && [ "$ONLINE_FRAGS" = "$ANALYZED_FRAGS" ]
-rm -f "$ONLINE_REC"
+rm -rf "$REC_DIR"
+/tmp/vapro-check -app CG -ranks 16 -cpu-noise node=0,start=0.5,end=1.5,share=0.5 \
+	-diagnose -record "$REC_DIR" >/tmp/vapro-record-live.out
+/tmp/vapro-check analyze -journal "$REC_DIR" -diagnose >/tmp/vapro-record-offline.out
+# Live line 1 is "recorded … to …"; the summary follows it.
+[ "$(sed -n '2s/^CG:/recording:/p' /tmp/vapro-record-live.out)" = "$(sed -n 1p /tmp/vapro-record-offline.out)" ]
+tail -n +3 /tmp/vapro-record-live.out >/tmp/vapro-record-live.body
+tail -n +2 /tmp/vapro-record-offline.out >/tmp/vapro-record-offline.body
+cmp /tmp/vapro-record-live.body /tmp/vapro-record-offline.body
+rm -rf "$REC_DIR"

@@ -171,11 +171,11 @@ func RenderHeatMapSVG(res *Result, class Class) string {
 // syntax (Figure 4).
 func RenderSTG(res *Result) string { return res.Graph.DOT() }
 
-// AnalyzeRecording rebuilds an analysis result from a fragment stream
-// persisted with Result.SaveRecording (Options.Record must have been
-// set during the run): the offline half of the record/analyze workflow.
-func AnalyzeRecording(r io.Reader, dopt detect.Options) (*Result, error) {
-	return core.AnalyzeRecording(r, dopt)
+// AnalyzeJournal rebuilds an analysis result from a run recorded into
+// dir with Options.Record: the offline half of the record/analyze
+// workflow.
+func AnalyzeJournal(dir string, dopt detect.Options) (*Result, error) {
+	return core.AnalyzeJournal(dir, dopt)
 }
 
 // DefaultDetectOptions returns the paper's detection thresholds

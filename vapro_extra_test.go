@@ -10,8 +10,9 @@ import (
 	"vapro"
 )
 
-// noisyRun produces one small analyzed run shared by the export tests.
-func noisyRun(t *testing.T) *vapro.Result {
+// noisyRun produces one small analyzed run shared by the export tests,
+// recorded into record when it is non-empty.
+func noisyRun(t *testing.T, record string) *vapro.Result {
 	t.Helper()
 	app, err := vapro.App("CG")
 	if err != nil {
@@ -19,7 +20,7 @@ func noisyRun(t *testing.T) *vapro.Result {
 	}
 	opt := vapro.DefaultOptions()
 	opt.Ranks = 16
-	opt.Record = true
+	opt.Record = record
 	sch := vapro.NewNoise()
 	sch.Add(vapro.CPUContention(0, 1, vapro.Seconds(0.9), vapro.Seconds(1.6), 0.5))
 	opt.Noise = sch
@@ -27,7 +28,7 @@ func noisyRun(t *testing.T) *vapro.Result {
 }
 
 func TestRenderExports(t *testing.T) {
-	res := noisyRun(t)
+	res := noisyRun(t, "")
 
 	svg := vapro.RenderHeatMapSVG(res, vapro.Computation)
 	if !strings.HasPrefix(svg, "<svg") {
@@ -70,12 +71,12 @@ func TestRenderExports(t *testing.T) {
 }
 
 func TestRecordingPublicRoundTrip(t *testing.T) {
-	res := noisyRun(t)
-	var buf bytes.Buffer
-	if err := res.SaveRecording(&buf); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	res := noisyRun(t, dir)
+	if res.RecordErr != nil {
+		t.Fatal(res.RecordErr)
 	}
-	re, err := vapro.AnalyzeRecording(&buf, vapro.DefaultDetectOptions())
+	re, err := vapro.AnalyzeJournal(dir, vapro.DefaultDetectOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +115,8 @@ func TestSizeScalerPublic(t *testing.T) {
 }
 
 func TestDeterministicPublicPipeline(t *testing.T) {
-	a := noisyRun(t)
-	b := noisyRun(t)
+	a := noisyRun(t, "")
+	b := noisyRun(t, "")
 	if a.Makespan != b.Makespan {
 		t.Fatal("makespan not deterministic")
 	}
